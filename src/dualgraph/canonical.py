@@ -9,7 +9,9 @@ vertex.  Pairing those coefficients against the neighbors of a C-marked
 Forests are solved by leaf-first Schur elimination on the integer pass of
 the graphs module, whose pivots are full/hole and which crosses (-2)-runs in
 closed form; the coefficients along any run form an arithmetic progression,
-so runs are also filled in without per-vertex solves.  Anything with a cycle
+kept as its first entry and step.  k_type_report reads those progressions
+at their ends, in time independent of the run lengths; compute_dnatural
+expands them, one coefficient per vertex.  Anything with a cycle
 falls back to fraction-free integer elimination on the augmented system with
 exact divisions at the end.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import (
     DomainError,
@@ -52,6 +55,12 @@ class KType(Enum):
     CANONICAL_AMPLE = "canonical-ample"
 
 
+# (ids, first, step): alpha at ids[k] is first + k * step.  A solution is a
+# list of such pieces, one per core vertex and one per run, in the order the
+# expanded coefficients are listed; no vertex is in two pieces.
+_Piece = tuple[Sequence[int], Fraction, Fraction]
+
+
 def compute_dnatural(gD: DualGraph) -> DNatural:
     """Solve sum_j alpha_j I_ij = 2 + w_i exactly over the whole graph.
 
@@ -60,6 +69,12 @@ def compute_dnatural(gD: DualGraph) -> DNatural:
     solution is guaranteed nonnegative for such graphs; a negative entry
     would mean the solver itself is broken and raises InternalDefect.
     """
+    return DNatural(_per_vertex(_solve(gD)))
+
+
+def _solve(gD: DualGraph) -> list[_Piece]:
+    """compute_dnatural's checks and solve, with each run left as its
+    arithmetic progression."""
     if gD.c is not None:
         raise NotMinimalResolutionGraph("graph carries a C mark")
     # run vertices all weigh -2, so the core weights decide
@@ -67,23 +82,44 @@ def compute_dnatural(gD: DualGraph) -> DNatural:
         if w > -2:
             raise NotMinimalResolutionGraph(f"vertex {v} has weight {w} > -2")
     if len(gD) == 0:
-        return DNatural({})
+        return []
     tp = _tree_pass(gD)
-    alpha = _solve_dense(gD) if tp is None else _solve_forest(tp)
-    negative = [v for v, a in alpha.items() if a < 0]
-    if negative:
+    if tp is None:
+        zero = Fraction(0)
+        pieces = [((v,), a, zero) for v, a in _solve_dense(gD).items()]
+    else:
+        pieces = _solve_forest(tp)
+    # a progression is smallest at one of its ends
+    if any(
+        first < 0 or (step < 0 and first + (len(ids) - 1) * step < 0)
+        for ids, first, step in pieces
+    ):
+        negative = next(v for v, a in _per_vertex(pieces).items() if a < 0)
         raise InternalDefect(
-            f"adjunction solve produced negative coefficient at {negative[0]}"
+            f"adjunction solve produced negative coefficient at {negative}"
         )
-    return DNatural(alpha)
+    return pieces
 
 
-def _solve_forest(tp: _TreePass) -> dict[int, Fraction]:
+def _per_vertex(pieces: list[_Piece]) -> dict[int, Fraction]:
+    """One coefficient per vertex."""
+    alpha: dict[int, Fraction] = {}
+    for ids, first, step in pieces:
+        if not step:
+            alpha.update(dict.fromkeys(ids, first))
+        else:
+            a = first
+            for v in ids:
+                alpha[v] = a
+                a += step
+    return alpha
+
+
+def _solve_forest(tp: _TreePass) -> list[_Piece]:
     if not tp.definite:
         raise NotContractible("intersection form is not negative definite")
-    alpha: dict[int, Fraction] = {}
-    for run in tp.pure:
-        alpha.update(dict.fromkeys(run, Fraction(0)))
+    zero = Fraction(0)
+    pieces: list[_Piece] = [(run, zero, zero) for run in tp.pure]
     full, hole = tp.full, tp.hole
     # leaf first: each child passes its load to its parent through the run
     # between them, divided by the pivot at the top of that run
@@ -93,29 +129,28 @@ def _solve_forest(tp: _TreePass) -> dict[int, Fraction]:
         if p is not None:
             top = _through_run(full[v], hole[v], len(run))[0]
             loads[p] += loads[v] * hole[v] / top
+    alpha: dict[int, Fraction] = {}
     for v in tp.order:  # parents precede children
         p, run = tp.parent[v]
         if p is None:
             alpha[v] = loads[v] * hole[v] / full[v]
-            continue
-        j = len(run)
-        f, h = _through_run(full[v], hole[v], j)
-        ap = alpha[p]
-        # run vertices and both core endpoints sit on one arithmetic
-        # progression; one solve at the run entry fixes it
-        step = (loads[v] * hole[v] + ap * h) / f - ap
-        for k, rid in enumerate(run):
-            alpha[rid] = ap + (k + 1) * step
-        alpha[v] = ap + (j + 1) * step
+        else:
+            f, h = _through_run(full[v], hole[v], len(run))
+            ap = alpha[p]
+            # run vertices and both core endpoints sit on one arithmetic
+            # progression; one solve at the run entry fixes it
+            step = (loads[v] * hole[v] + ap * h) / f - ap
+            if run:
+                pieces.append((run, ap + step, step))
+            alpha[v] = ap + (len(run) + 1) * step
+        pieces.append(((v,), alpha[v], zero))
     for v in tp.order:
         for w, run in tp.links[v]:
-            if w is not None:
-                continue
-            # pendant runs interpolate from alpha[v] down to a virtual 0
-            width = len(run) + 1
-            for k, rid in enumerate(run):
-                alpha[rid] = alpha[v] * (width - 1 - k) / width
-    return alpha
+            if w is None:
+                # pendant runs interpolate from alpha[v] down to a virtual 0
+                step = -alpha[v] / (len(run) + 1)
+                pieces.append((run, alpha[v] + step, step))
+    return pieces
 
 
 def _solve_dense(g: DualGraph) -> dict[int, Fraction]:
@@ -164,6 +199,11 @@ def k_type_report(g: DualGraph) -> tuple[KType, Fraction]:
     rest of the graph must satisfy compute_dnatural's preconditions.  At a
     pairing of exactly 1 every coefficient must be an integer; a fractional
     one is reported as a defect rather than tolerated.
+
+    Runs are read as progressions from their ends, never vertex by vertex:
+    the neighbors of C are core vertices or run vertices looked up in their
+    run, and a progression is integral iff its first entry and (if it has a
+    second) its step are.
     """
     if g.c is None:
         raise OutOfScopeBoundary("graph has no C-marked vertex")
@@ -171,18 +211,25 @@ def k_type_report(g: DualGraph) -> tuple[KType, Fraction]:
         raise OutOfScopeBoundary(
             f"marked vertex weighs {g.weight(g.c)}, classification needs -1"
         )
-    dnat = compute_dnatural(g.minus_c())
-    pairing = c_pairing(g, dnat)
+    g._compact()  # so the cut and the neighbors below read the runs
+    pieces = _solve(g.minus_c())
+    pairing = Fraction(0)
+    for v in g.neighbors(g.c):
+        ids, first, step = next(p for p in pieces if v in p[0])
+        pairing += first + ids.index(v) * step
     if pairing < 1:
         return KType.ANTI_CANONICAL_AMPLE, pairing
     if pairing == 1:
-        fractional = [
-            v for v, a in dnat.coefficients.items() if a.denominator != 1
-        ]
-        if fractional:
+        if not all(
+            first.denominator == 1 and (len(ids) == 1 or step.denominator == 1)
+            for ids, first, step in pieces
+        ):
+            fractional = next(
+                v for v, a in _per_vertex(pieces).items() if a.denominator != 1
+            )
             raise InternalDefect(
                 "pairing is 1 but coefficient at "
-                f"{fractional[0]} is not an integer"
+                f"{fractional} is not an integer"
             )
         return KType.NUMERICALLY_TRIVIAL, pairing
     return KType.CANONICAL_AMPLE, pairing

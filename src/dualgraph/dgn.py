@@ -97,7 +97,10 @@ def parse_dgn(text: str) -> DualGraph:
         if u not in weights or v not in weights:
             missing = u if u not in weights else v
             raise ParseError(line_no, f"edge references undeclared vertex {missing}")
-    return DualGraph(weights, edges, c)
+    # every check DualGraph() makes has been made above, with line numbers
+    g = DualGraph.__new__(DualGraph)
+    g._init(None, None, weights, tuple(sorted(edges)), c)
+    return g
 
 
 def serialize_dgn(g: DualGraph) -> str:

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .errors import InvalidFamilyParams
 from .canonical import KType
-from .graphs import DualGraph, is_tree
+from .graphs import DualGraph, is_tree, link_neighbor
 from .twigs import Twig, adjoint, is_admissible, twig_determinant, twig_parts
 
 _FIELDS = ("family", "A", "n", "l", "b", "m")
@@ -352,31 +353,68 @@ def predicted_k_type(spec: FamilyInstance) -> KType:
 # -- recognizer ----------------------------------------------------------------
 
 
-def _walk(g: DualGraph, frm: int, to: int):
-    """Chain ids starting with to, stopping before any branch vertex.
+# The recognizer reads the compact form: an arm is a list of pieces (weight,
+# ids), one per core vertex and one per (-2)-run, so a run of any length is
+# one piece and only the short twigs it compares are expanded.  C weighs -1
+# or 0 wherever an arm is walked, so it is a core vertex of its own piece.
 
-    Returns (ids, branch) where branch is the degree->=3 vertex the walk hit,
-    or None if the chain ended at a leaf (the leaf is included in ids).
+
+def _walk(g: DualGraph, frm: int, far: int | None, run):
+    """The arm leaving core vertex frm through its link (far, run), stopping
+    before any branch vertex.
+
+    Returns (arm, branch) where branch is the degree->=3 vertex the walk hit,
+    or None if the arm ended at a leaf (the leaf is included in arm).
     """
-    ids = []
-    prev, cur = frm, to
+    links = g.core_links()
+    arm = []
     while True:
-        if g.degree(cur) >= 3:
-            return ids, cur
-        ids.append(cur)
-        if g.degree(cur) == 1:
-            return ids, None
-        nxt = next(x for x in g.adjacency[cur] if x != prev)
-        prev, cur = cur, nxt
+        if run:
+            arm.append((-2, run))
+        if far is None:
+            return arm, None
+        ends = links[far]
+        if len(ends) >= 3:
+            return arm, far
+        arm.append((g.weight(far), (far,)))
+        if len(ends) == 1:
+            return arm, None
+        (w1, r1), (w2, r2) = ends
+        frm, (far, run) = far, ((w2, r2) if w1 == frm else (w1, r1))
 
 
-def _twig_of(g: DualGraph, ids: list[int]) -> Twig | None:
-    """ids as a positive twig, or None if any weight is above -2."""
-    ws = tuple(-g.weight(v) for v in ids)
-    return ws if all(a >= 2 for a in ws) else None
+def _arms(g: DualGraph, v: int):
+    """The walks out of core vertex v, in the order of its neighbors."""
+    ends = sorted(g.core_links()[v], key=link_neighbor)
+    return [_walk(g, v, far, run) for far, run in ends]
 
 
-def _match_side_arms(g, arms):
+def _size(arm) -> int:
+    return sum(len(ids) for _, ids in arm)
+
+
+def _twig_of(arm) -> Twig | None:
+    """arm as a positive twig, or None if any weight is above -2."""
+    if any(w > -2 for w, _ in arm):
+        return None
+    return tuple(chain.from_iterable((-w,) * len(ids) for w, ids in arm))
+
+
+def _lead_run(arm):
+    """The number of (-2)-entries arm starts with, and the rest of arm."""
+    k = 0
+    while k < len(arm) and arm[k][0] == -2:
+        k += 1
+    return _size(arm[:k]), arm[k:]
+
+
+def _without_last(arm):
+    """arm with its last vertex removed."""
+    w, ids = arm[-1]
+    return arm[:-1] + [(w, ids[:-1])] if len(ids) > 1 else arm[:-1]
+
+
+def _match_side_arms(arms):
     """Identify (A, n) from two outward arms, one being adjoint(A).
 
     Each candidate reading takes one arm as a_r..a_1,(-n) and the other as
@@ -385,15 +423,15 @@ def _match_side_arms(g, arms):
     reasons = []
     matches = []
     for cap_arm, star_arm in (arms, tuple(reversed(arms))):
-        if len(cap_arm) < 2:
+        if _size(cap_arm) < 2:
             reasons.append("unrecognized shape")
             continue
-        n = -g.weight(cap_arm[-1])
+        n = -cap_arm[-1][0]
         if n < 2:
             reasons.append("n >= 2 violated")
             continue
-        a = _twig_of(g, cap_arm[:-1])
-        star = _twig_of(g, star_arm)
+        a = _twig_of(_without_last(cap_arm))
+        star = _twig_of(star_arm)
         if a is None or star is None:
             reasons.append("A must be a nonempty admissible twig")
             continue
@@ -418,18 +456,15 @@ def _parse_family_1(g):
 
 
 def _parse_family_2(g):
+    """Only asked of graphs without branch vertices."""
     if g.weight(g.c) != -1 or g.degree(g.c) != 2:
         return None, "unrecognized shape"
-    if any(g.degree(v) >= 3 for v in g.vertex_ids):
-        return None, "unrecognized shape"
-    nb = g.neighbors(g.c)
     sides = []
-    for to in nb:
-        ids, branch = _walk(g, g.c, to)
+    for arm, branch in _arms(g, g.c):
         if branch is not None:
             return None, "unrecognized shape"
-        sides.append(ids)
-    result, reason = _match_side_arms(g, tuple(sides))
+        sides.append(arm)
+    result, reason = _match_side_arms(tuple(sides))
     if result is None:
         return None, reason
     a, n = result
@@ -437,13 +472,12 @@ def _parse_family_2(g):
 
 
 def _center_arms(g, center):
-    """Outward arm walks from a star center; None if an arm hits a branch."""
+    """Outward arms from a star center; None if an arm hits a branch."""
     arms = []
-    for to in g.neighbors(center):
-        ids, branch = _walk(g, center, to)
+    for arm, branch in _arms(g, center):
         if branch is not None:
             return None
-        arms.append(ids)
+        arms.append(arm)
     return arms
 
 
@@ -454,38 +488,35 @@ def _parse_one_branch(g, center, family):
     arms = _center_arms(g, center)
     if arms is None:
         return None, "unrecognized shape"
-    with_c = [a for a in arms if g.c in a]
+    c_piece = (g.weight(g.c), (g.c,))
+    with_c = [i for i, arm in enumerate(arms) if c_piece in arm]
     if len(with_c) != 1:
         return None, "unrecognized shape"
-    c_arm = with_c[0]
-    others = tuple(a for a in arms if a is not c_arm)
-    pos = c_arm.index(g.c)
+    c_arm = arms.pop(with_c[0])
+    pos = c_arm.index(c_piece)
     before, after = c_arm[:pos], c_arm[pos + 1 :]
-    result, reason = _match_side_arms(g, others)
+    result, reason = _match_side_arms(tuple(arms))
     if result is None:
         return None, reason
     a, n = result
     if family == 3:
         if after:
             return None, "unrecognized shape"
-        if any(g.weight(v) != -2 for v in before):
+        if any(w != -2 for w, _ in before):
             return None, "unrecognized shape"
-        l = len(before)
+        l = _size(before)
         bound = l_bound(a, n)
         if l > bound:
             return None, f"l out of range: 0 <= l <= {bound}, got {l}"
         return FamilyInstance(family=3, A=a, n=n, l=l), None
     if family == 4:
-        run = 0
-        while run < len(before) and g.weight(before[run]) == -2:
-            run += 1
-        b_ids = before[run:]
-        if not b_ids:
+        run, b_arm = _lead_run(before)
+        if not b_arm:
             return None, "unrecognized shape"
-        b = _twig_of(g, b_ids)
+        b = _twig_of(b_arm)
         if b is None or b[0] < 3:
             return None, "b_1 >= 3 violated"
-        ustar = _twig_of(g, after)
+        ustar = _twig_of(after)
         if ustar is None or ustar != _u_bstar(b):
             return None, "adjoint mismatch"
         bound = l_bound(a, n)
@@ -496,11 +527,11 @@ def _parse_one_branch(g, center, family):
     b1 = -g.weight(center)
     if b1 < 3:
         return None, "b_1 >= 3 violated"
-    rest = _twig_of(g, before)
+    rest = _twig_of(before)
     if rest is None:
         return None, "b must be a nonempty admissible twig"
     b = (b1,) + rest
-    ustar = _twig_of(g, after)
+    ustar = _twig_of(after)
     if ustar is None or ustar != _u_bstar(b):
         return None, "adjoint mismatch"
     return FamilyInstance(family=6, A=a, n=n, b=b), None
@@ -518,71 +549,70 @@ def _parse_two_branch(g, branches, family):
     if m < 0:
         return None, "m >= 0 violated"
     # C: one side is w, the optional other side is the m-tail
-    tail_sides = [v for v in g.neighbors(g.c) if v != w]
-    if g.weight(g.c) != -1 or len(tail_sides) > 1:
+    if g.weight(g.c) != -1:
+        return None, "unrecognized shape"
+    tail_sides = [
+        (far, run) for far, run in g.core_links()[g.c] if run or far != w
+    ]
+    if len(tail_sides) > 1:
         return None, "unrecognized shape"
     if tail_sides:
-        tail, branch = _walk(g, g.c, tail_sides[0])
-        if branch is not None or any(g.weight(v) != -2 for v in tail):
+        tail, branch = _walk(g, g.c, *tail_sides[0])
+        if branch is not None or any(wt != -2 for wt, _ in tail):
             return None, "unrecognized shape"
-        tail_len = len(tail)
+        tail_len = _size(tail)
     else:
         tail_len = 0
     if tail_len != m:
         return None, "m tail mismatch"
     # w's arms: spine toward the center, uB*, and C
     spine = None
-    ustar_ids = None
-    for to in g.neighbors(w):
-        if to == g.c:
+    ustar_arm = None
+    for far, run in sorted(g.core_links()[w], key=link_neighbor):
+        if far == g.c and not run:
             continue
-        ids, branch = _walk(g, w, to)
-        if branch is center:
-            spine = ids
-        elif branch is None and ustar_ids is None:
-            ustar_ids = ids
+        arm, branch = _walk(g, w, far, run)
+        if branch == center:
+            spine = arm
+        elif branch is None and ustar_arm is None:
+            ustar_arm = arm
         else:
             return None, "unrecognized shape"
-    if spine is None or ustar_ids is None:
+    if spine is None or ustar_arm is None:
         return None, "unrecognized shape"
-    spine = list(reversed(spine))  # walked from w; flip to read center-outward
+    spine = spine[::-1]  # walked from w; flip to read center-outward
     side_arms = []
-    for to in g.neighbors(center):
-        ids, branch = _walk(g, center, to)
-        if branch is w:
+    for arm, branch in _arms(g, center):
+        if branch == w:
             continue
         if branch is not None:
             return None, "unrecognized shape"
-        side_arms.append(ids)
+        side_arms.append(arm)
     if len(side_arms) != 2:
         return None, "unrecognized shape"
-    result, reason = _match_side_arms(g, tuple(side_arms))
+    result, reason = _match_side_arms(tuple(side_arms))
     if result is None:
         return None, reason
     a, n = result
     if family == 5:
         if g.weight(center) != -2:
             return None, "unrecognized shape"
-        run = 0
-        while run < len(spine) and g.weight(spine[run]) == -2:
-            run += 1
-        b_ids = spine[run:]
-        if not b_ids:
+        l, b_arm = _lead_run(spine)
+        if not b_arm:
             return None, "unrecognized shape"
-        b = _twig_of(g, b_ids)
+        b = _twig_of(b_arm)
         if b is None or b[0] < 3:
             return None, "b_1 >= 3 violated"
-        l = run
     else:
         b1 = -g.weight(center)
         if b1 < 3:
             return None, "b_1 >= 3 violated"
-        rest = _twig_of(g, spine)
+        rest = _twig_of(spine)
         if rest is None:
             return None, "b must be a nonempty admissible twig"
         b = (b1,) + rest
         l = None
-    ustar = _twig_of(g, ustar_ids)
+    ustar = _twig_of(ustar_arm)
     if ustar is None or ustar != _u_bstar(b):
         return None, "adjoint mismatch"
     if family == 5:
@@ -599,7 +629,10 @@ def classify_family_all(g: DualGraph) -> tuple[list[FamilyInstance], str]:
         return [], "no C-marked vertex"
     if not is_tree(g):
         return [], "not a tree"
-    branches = [v for v in g.vertex_ids if g.degree(v) >= 3]
+    # run vertices have degree 1 or 2, so branch vertices are core
+    branches = sorted(
+        v for v, ends in g.core_links().items() if len(ends) >= 3
+    )
     matches: list[FamilyInstance] = []
     reasons: list[str] = []
 

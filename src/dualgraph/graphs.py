@@ -16,8 +16,10 @@ end and an empty run is a direct edge between two core vertices.  Links are
 oriented and sorted canonically, so equal graphs have equal compact forms.
 The family builders emit this form and delete() carries it across, in time
 independent of the run lengths; the vertex-level views (weights, edges,
-adjacency, DGN) are expanded from it lazily, once.  A graph given as
-vertex-level data keeps that data and compresses on first use.
+adjacency, DGN) are expanded from it lazily, once.  Neighbours, degrees and
+edge tests are read from the compact form whenever the graph holds it, so
+they expand nothing.  A graph given as vertex-level data keeps that data and
+compresses on first use.
 
 On a forest the determinant, definiteness and adjunction questions share one
 integer leaf-first pass.  For the subtree below a core vertex v, full(v) is
@@ -46,13 +48,16 @@ from .errors import (
 
 # (a, b, ids): a run of (-2)-vertices ids from core end a to core end b
 _Link = tuple[int | None, int | None, Sequence[int]]
+# (far, ids): a link seen from one core end, ids ordered away from it
+_End = tuple[int | None, Sequence[int]]
 
 
 class DualGraph:
     """Immutable weighted graph with an optional C-marked vertex."""
 
     __slots__ = (
-        "_core", "_links", "_weights", "_edges", "_c", "_adj", "_hash", "_pass"
+        "_core", "_links", "_weights", "_edges", "_c", "_adj", "_inc", "_hash",
+        "_pass",
     )
 
     def __init__(
@@ -88,6 +93,7 @@ class DualGraph:
         self._edges: tuple[tuple[int, int], ...] | None = edges
         self._c = c
         self._adj: dict[int, list[int]] | None = None
+        self._inc: dict[int, list[_End]] | None = None
         self._hash: int | None = None
         self._pass: _TreePass | bool | None = None
 
@@ -163,14 +169,48 @@ class DualGraph:
             self._adj = adj
         return self._adj
 
+    def core_links(self) -> dict[int, list[_End]]:
+        """Each core vertex's links as (far core end or None, run ids ordered
+        away from it), in the order of the compact form's links.
+
+        Built once from the compact form, in time independent of the run
+        lengths; the result is shared, so callers must not change it.
+        """
+        if self._inc is None:
+            core, links = self._compact()
+            inc: dict[int, list[_End]] = {v: [] for v in core}
+            for a, b, ids in links:
+                if a is not None:
+                    inc[a].append((b, ids))
+                if b is not None:
+                    inc[b].append((a, ids[::-1]))
+            self._inc = inc
+        return self._inc
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adjacency[v]))
+        """Sorted neighbours of v, read from the compact form when the graph
+        holds it, so a run is never expanded."""
+        if self._core is None or self._adj is not None:
+            return tuple(sorted(self.adjacency[v]))
+        ends = self.core_links().get(v)
+        if ends is not None:
+            return tuple(sorted(map(link_neighbor, ends)))
+        for a, b, ids in self._links:
+            if v in ids:
+                k = ids.index(v)
+                prev = ids[k - 1] if k else a
+                nxt = ids[k + 1] if k + 1 < len(ids) else b
+                return tuple(sorted(x for x in (prev, nxt) if x is not None))
+        raise KeyError(v)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency.get(u, ())
+        try:
+            return v in self.neighbors(u)
+        except KeyError:
+            return False
 
     def __len__(self) -> int:
         if self._weights is not None:
@@ -234,7 +274,7 @@ class DualGraph:
             raise ValueError(f"marked vertex {v} does not exist")
         g = DualGraph.__new__(DualGraph)
         g._init(self._core, self._links, self._weights, self._edges, v)
-        g._adj, g._pass = self._adj, self._pass
+        g._adj, g._inc, g._pass = self._adj, self._inc, self._pass
         return g
 
 
@@ -266,6 +306,12 @@ def _join(pieces: Sequence[Sequence[int]]) -> Sequence[int]:
     if len(spans) == 1:
         return spans[0]
     return tuple(chain.from_iterable(spans)) if spans else range(0)
+
+
+def link_neighbor(end: _End) -> int:
+    """The neighbour a link of core_links() starts with."""
+    far, ids = end
+    return ids[0] if ids else far
 
 
 def _link_key(link: _Link):
@@ -518,26 +564,22 @@ def _through_run(full: int, hole: int, j: int) -> tuple[int, int]:
 def _tree_pass(g: DualGraph) -> _TreePass | None:
     """The pass for g, computed once; None if g has a cycle."""
     if g._pass is None:
-        g._pass = _run_tree_pass(*g._compact()) or False
+        g._pass = _run_tree_pass(g) or False
     return g._pass or None
 
 
-def _run_tree_pass(core, links) -> _TreePass | None:
-    inc: dict[int, list[tuple[int | None, Sequence[int]]]] = {
-        v: [] for v in core
-    }
+def _run_tree_pass(g: DualGraph) -> _TreePass | None:
+    core, links = g._compact()
     pure = []
-    core_links = 0
+    core_to_core = 0
     for a, b, ids in links:
         if a is None:
             pure.append(ids)
         elif a == b:
             return None
-        else:
-            inc[a].append((b, ids))
-            if b is not None:
-                inc[b].append((a, ids[::-1]))
-                core_links += 1
+        elif b is not None:
+            core_to_core += 1
+    inc = g.core_links()
     parent: dict[int, tuple[int | None, Sequence[int]]] = {}
     order: list[int] = []
     roots: list[int] = []
@@ -556,7 +598,7 @@ def _run_tree_pass(core, links) -> _TreePass | None:
                     stack.append(w)
     # a forest has one core-to-core link fewer than core vertices per
     # component
-    if core_links != len(core) - len(roots):
+    if core_to_core != len(core) - len(roots):
         return None
     full: dict[int, int] = {}
     hole: dict[int, int] = {}
@@ -917,25 +959,45 @@ def _component_centers(adj: dict[int, list[int]], comp: list[int]) -> list[int]:
     return sorted(current)
 
 
-def _rooted_code(g: DualGraph, root: int) -> tuple:
+def _rooted_code(g: DualGraph, roots: list[int]) -> tuple:
+    """The tree hanging from roots (its 1 or 2 centers), encoded level by
+    level (AHU), deepest first.
+
+    A level is the sorted tuple of its vertices' labels (weight, is C,
+    sorted ranks of the children); a rank is the index of a label among the
+    distinct labels of its level.  Two trees have equal codes iff they are
+    isomorphic (centers go to centers), and the tuples nest to a fixed depth
+    however deep the tree is.
+    """
     adj = g.adjacency
-    order = [root]
-    parent: dict[int, int | None] = {root: None}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for nb in adj[u]:
-            if nb != parent[u]:
-                parent[nb] = u
-                order.append(nb)
-                stack.append(nb)
-    code: dict[int, tuple] = {}
-    for v in reversed(order):
-        kids = sorted(
-            code[nb] for nb in adj[v] if nb != parent[v]
-        )
-        code[v] = (g.weight(v), g.c == v, tuple(kids))
-    return code[root]
+    weights = g._expand()[0]
+    parent: dict[int, int | None] = dict.fromkeys(roots)
+    levels = [roots]
+    while True:
+        nxt = []
+        for u in levels[-1]:
+            for nb in adj[u]:
+                if nb not in parent:
+                    parent[nb] = u
+                    nxt.append(nb)
+        if not nxt:
+            break
+        levels.append(nxt)
+    kids: dict[int | None, list[int]] = {}
+    code = []
+    for level in reversed(levels):
+        labels = [
+            (weights[v], g.c == v, tuple(sorted(kids.pop(v, ()))))
+            for v in level
+        ]
+        ordered = sorted(labels)
+        rank: dict[tuple, int] = {}
+        for lab in ordered:
+            rank.setdefault(lab, len(rank))
+        for v, lab in zip(level, labels):
+            kids.setdefault(parent[v], []).append(rank[lab])
+        code.append(tuple(ordered))
+    return tuple(code)
 
 
 def canonical_form(g: DualGraph) -> tuple:
@@ -946,10 +1008,10 @@ def canonical_form(g: DualGraph) -> tuple:
     """
     if not is_forest(g):
         raise DomainError("canonical form is only defined for forests")
-    codes = []
-    for comp in _components(g):
-        centers = _component_centers(g.adjacency, comp)
-        codes.append(min(_rooted_code(g, c) for c in centers))
+    codes = [
+        _rooted_code(g, _component_centers(g.adjacency, comp))
+        for comp in _components(g)
+    ]
     return tuple(sorted(codes))
 
 

@@ -18,11 +18,9 @@ import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError, InternalDefect, ParseError
+from .errors import DomainError, ParseError
 
 Twig = tuple[int, ...]
-
-_EXPANSION_CAP = 10**6
 
 
 class TwigParts(NamedTuple):
@@ -68,19 +66,18 @@ def twig_from_inductance(q: Fraction | int) -> Twig:
 
     Weights come from the ceiling continued fraction of 1/q: with x = d/p,
     a_1 = ceil(x) and the expansion recurses on 1/(a_1 - x) until exact.
+    The denominators strictly decrease, so the loop ends.
     """
     q = Fraction(q)
     if not 0 < q < 1:
         raise DomainError(f"inductance value must satisfy 0 < q < 1, got {q}")
     num, den = q.denominator, q.numerator  # x = num/den > 1
     weights = []
-    for _ in range(_EXPANSION_CAP):
+    while den:
         a = -(-num // den)  # ceiling
         weights.append(a)
         num, den = den, a * den - num
-        if den == 0:
-            return tuple(weights)
-    raise InternalDefect("continued fraction expansion did not terminate")
+    return tuple(weights)
 
 
 def adjoint(weights: Iterable[int]) -> Twig:

@@ -606,7 +606,8 @@ def verify_contraction_suite(
                     )
         # pairing transitions need a contractible instance whose off-C part
         # has a branch vertex
-        branching = any(len(a) >= 3 for a in d_minus.adjacency.values())
+        # run vertices have degree 1 or 2, so a branch vertex is core
+        branching = any(len(e) >= 3 for e in d_minus.core_links().values())
         if not neg or not branching:
             continue
         p = _pairing_of(g, d_minus)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualgraph import canonical
 from dualgraph.canonical import (
     DNatural,
     KType,
@@ -16,6 +17,7 @@ from dualgraph.canonical import (
 )
 from dualgraph.errors import (
     DomainError,
+    InternalDefect,
     NotContractible,
     NotMinimalResolutionGraph,
     OutOfScopeBoundary,
@@ -221,6 +223,61 @@ def test_pairing_of_pure_minus_two_neighbor():
     dnat = compute_dnatural(g.minus_c())
     assert c_pairing(g, dnat) == 0
     assert classify_k_type(g) is KType.ANTI_CANONICAL_AMPLE
+
+
+def test_report_reads_the_pairing_of_the_expanded_coefficients():
+    # C hangs off any vertex, mid-run too, or off two (a cycle: dense route);
+    # the report's pairing, read from run progressions, is the per-vertex one
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(150):
+        g = _random_armed_tree(rng)
+        if not is_negative_definite(g):
+            continue
+        weights = g.weights
+        weights[99] = -1
+        hooks = rng.sample(g.vertex_ids, rng.choice((1, 1, 1, 2)))
+        edges = g.edges + tuple((v, 99) for v in hooks)
+        reference = DualGraph(weights, edges, 99)  # neighbors from adjacency
+        pairing = c_pairing(reference, compute_dnatural(reference.minus_c()))
+        compact = DualGraph._from_parts(*DualGraph(weights, edges)._compact(), 99)
+        for h in (DualGraph(weights, edges, 99), compact):
+            try:
+                ktype, got = k_type_report(h)
+            except InternalDefect:
+                continue  # pairing 1 with a fractional coefficient
+            assert got == pairing
+            seen.add(ktype)
+    assert len(seen) >= 2
+
+
+def test_defects_name_the_first_bad_vertex(monkeypatch):
+    # a broken solve is caught from the run ends, and named as before: the
+    # first vertex, in coefficient order, that is negative or fractional
+    g, _ = star3_graph((3,), 2, 8)  # numerically trivial
+    assert k_type_report(g)[0] is KType.NUMERICALLY_TRIVIAL
+    solve = canonical._solve_forest
+    (c_adj,) = g.neighbors(g.c)
+
+    def bend(shift):
+        def broken(tp):
+            pieces = solve(tp)
+            for i, (ids, first, step) in enumerate(pieces):
+                if len(ids) > 1 and c_adj not in ids:
+                    pieces[i] = (ids, first, step + shift)
+                    return pieces
+            raise AssertionError("no run away from C")
+
+        return broken
+
+    monkeypatch.setattr(canonical, "_solve_forest", bend(Fraction(1, 2)))
+    pieces = canonical._solve(g.minus_c())
+    bent = next(ids for ids, _, step in pieces if step.denominator != 1)
+    with pytest.raises(InternalDefect, match=f"coefficient at {bent[1]} is"):
+        k_type_report(g)
+    monkeypatch.setattr(canonical, "_solve_forest", bend(Fraction(-100)))
+    with pytest.raises(InternalDefect, match=f"negative coefficient at {bent[1]}$"):
+        compute_dnatural(g.minus_c())
 
 
 def test_pairing_requires_mark_and_coverage():

@@ -3,7 +3,7 @@
 import pytest
 
 from dualgraph.canonical import KType, k_type_report
-from dualgraph.dgn import serialize_dgn
+from dualgraph.dgn import parse_dgn, serialize_dgn
 from dualgraph.errors import InvalidFamilyParams
 from dualgraph.families import (
     FamilyInstance,
@@ -168,6 +168,24 @@ class TestBuilders:
         for l, want in ((bound, True), (bound + 1, False)):
             g = build_family(spec(3, A=(1000,), n=2, l=l), strict=False)
             assert is_negative_definite(g.minus_c()) is want
+
+    def test_type_and_family_at_the_run_bound_never_expand(self, monkeypatch):
+        # k_type_report and the recognizer read runs as ranges and their
+        # coefficients as progressions, at the bound and at the type split
+        bound = l_bound((1000,), 2)
+        t = trivial_threshold((1000,), 2)
+
+        def refuse(self):
+            raise AssertionError("vertex-level views were expanded")
+
+        monkeypatch.setattr(DualGraph, "_expand", refuse)
+        extra = {3: {}, 4: {"b": (3,)}, 5: {"b": (3,), "m": 1}}
+        for family, split in ((3, t), (4, t - 1), (5, t - 1)):
+            for l in (bound, split):
+                s = spec(family, A=(1000,), n=2, l=l, **extra[family])
+                g = build_family(s)
+                assert k_type_report(g)[0] is predicted_k_type(s), s
+                assert classify_family(g) == s, s
 
 
 def _assert_matches_recompressed(s):
@@ -377,6 +395,22 @@ class TestClassifier:
                 assert graph_d(g) == -1, s
                 checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            spec(5, A=(1000,), n=2, l=100, b=(3,), m=1),
+            spec(7, A=(1000,), n=2, b=(3,), m=1),
+        ],
+        ids=["family-5", "family-7"],
+    )
+    def test_ids_past_256_read_from_dgn(self, s):
+        # ids parsed from text are distinct int objects, so the recognizer
+        # must compare them by value
+        g = build_family(s)
+        (w,) = [v for v in g.neighbors(g.c) if g.degree(v) == 3]
+        assert w > 256
+        assert classify_family(parse_dgn(serialize_dgn(g))) == s
 
     def test_classification_is_structural_not_id_based(self):
         s = spec(4, A=(2, 2), n=2, l=1, b=(3,))

@@ -31,6 +31,7 @@ from dualgraph.graphs import (
     shape_report,
     signed_determinant,
 )
+from dualgraph.families import FamilyInstance, build_family
 from dualgraph.twigs import twig_determinant
 
 from oracles import (
@@ -485,6 +486,22 @@ def test_two_center_paths():
     assert not isomorphic(chain_graph([-2, -3, -3, -4]), chain_graph([-2, -3, -3, -2]))
 
 
+def test_isomorphic_on_a_deep_tree():
+    # the code nests to a fixed depth, so 11,000 vertices do not recurse
+    g = build_family(FamilyInstance(3, A=(1000,), n=2, l=10**4))
+    top = max(g.vertex_ids) + 1
+    flipped = DualGraph(
+        {top - v: w for v, w in g.weights.items()},
+        [(top - u, top - v) for u, v in g.edges],
+        top - g.c,
+    )
+    assert isomorphic(g, flipped)
+    weights = g.weights
+    assert weights[top // 2] == -2
+    weights[top // 2] = -3
+    assert not isomorphic(g, DualGraph(weights, g.edges, g.c))
+
+
 def test_is_tree_and_forest():
     assert is_tree(chain_graph([-2]))
     assert is_forest(DualGraph({1: -2, 2: -2}, []))
@@ -521,6 +538,15 @@ def test_compact_form_round_trips_and_deletes_like_vertex_data(h):
     core, links = h._compact()
     g = DualGraph._from_parts(core, list(links), h.c)  # compact parts only
     assert g._compact() == (core, links)
+    vertex_level = DualGraph(h.weights, h.edges, h.c)  # reads adjacency
+    for v in h.weights:
+        assert g.neighbors(v) == vertex_level.neighbors(v)
+        assert g.degree(v) == vertex_level.degree(v)
+        assert all(
+            g.has_edge(v, u) == vertex_level.has_edge(v, u) for u in h.weights
+        )
+        assert not g.has_edge(v, 99) and not g.has_edge(99, v)
+    assert g._weights is None  # answered from the compact form alone
     assert len(g) == len(h)
     assert all(v in g for v in h.weights)
     assert all(g.weight(v) == w for v, w in h.weights.items())

@@ -212,3 +212,10 @@ def test_format_parse_round_trip(weights):
 def test_format_twig():
     assert format_twig(()) == "[]"
     assert format_twig((2, 3)) == "[2,3]"
+
+
+def test_long_expansion_runs_to_the_end():
+    # a twig of a million entries is valid; the expansion has no step cap
+    assert twig_from_inductance(Fraction(10**6 + 4, 10**6 + 5)) == (2,) * (
+        10**6 + 4
+    )
