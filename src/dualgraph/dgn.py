@@ -14,86 +14,104 @@ canonical document reproduces it byte for byte.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from typing import Iterable
+
 from .errors import ParseError
 from .graphs import DualGraph
 
 
-def _int(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
+def _not_int(line_no: int, named: Iterable[tuple[str, str]]) -> ParseError:
+    """The error for the first (what, token) of named whose token is not an
+    integer; a line's tokens are converted together and this names the
+    culprit only once a conversion has failed."""
+    for what, token in named:
+        try:
+            int(token)
+        except ValueError:
+            return ParseError(line_no, f"{what} must be an integer, got {token!r}")
+    raise AssertionError("every token is an integer")
 
 
 def parse_dgn(text: str) -> DualGraph:
     weights: dict[int, int] = {}
     c: int | None = None
-    edges: list[tuple[int, int]] = []
-    edge_lines: list[int] = []
-    seen_edges: set[tuple[int, int]] = set()
+    edges: dict[tuple[int, int], int] = {}  # edge -> its line, in order
 
-    def add_vertex(vid: int, weight: int, marked: bool, line_no: int) -> None:
-        nonlocal c
-        if vid in weights:
-            raise ParseError(line_no, f"duplicate vertex id {vid}")
-        weights[vid] = weight
-        if marked:
-            if c is not None:
-                raise ParseError(
-                    line_no, f"second C mark on vertex {vid} (already on {c})"
-                )
-            c = vid
-
-    def add_edge(u: int, v: int, line_no: int) -> None:
-        if u == v:
-            raise ParseError(line_no, f"loop edge at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen_edges:
-            raise ParseError(line_no, f"duplicate edge ({key[0]},{key[1]})")
-        seen_edges.add(key)
-        edges.append(key)
-        edge_lines.append(line_no)
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
+        if not tokens:
+            continue
+        kind = tokens[0]
         if kind == "v":
-            if len(args) == 3 and args[2] == "C":
-                marked = True
-                args = args[:2]
-            elif len(args) == 2:
+            if len(tokens) == 3:
                 marked = False
+            elif len(tokens) == 4 and tokens[3] == "C":
+                marked = True
             else:
                 raise ParseError(line_no, "expected: v <id> <weight> [C]")
-            vid = _int(args[0], line_no, "vertex id")
-            weight = _int(args[1], line_no, "vertex weight")
-            add_vertex(vid, weight, marked, line_no)
+            try:
+                vid = int(tokens[1])
+                weight = int(tokens[2])
+            except ValueError:
+                raise _not_int(
+                    line_no,
+                    (("vertex id", tokens[1]), ("vertex weight", tokens[2])),
+                ) from None
+            if vid in weights:
+                raise ParseError(line_no, f"duplicate vertex id {vid}")
+            weights[vid] = weight
+            if marked:
+                if c is not None:
+                    raise ParseError(
+                        line_no, f"second C mark on vertex {vid} (already on {c})"
+                    )
+                c = vid
         elif kind == "e":
-            if len(args) != 2:
+            if len(tokens) != 3:
                 raise ParseError(line_no, "expected: e <u> <v>")
-            add_edge(
-                _int(args[0], line_no, "edge endpoint"),
-                _int(args[1], line_no, "edge endpoint"),
-                line_no,
-            )
+            try:
+                u = int(tokens[1])
+                v = int(tokens[2])
+            except ValueError:
+                raise _not_int(
+                    line_no, (("edge endpoint", tok) for tok in tokens[1:])
+                ) from None
+            if u < v:
+                key = (u, v)
+            elif u > v:
+                key = (v, u)
+            else:
+                raise ParseError(line_no, f"loop edge at vertex {u}")
+            if key in edges:
+                raise ParseError(line_no, f"duplicate edge ({key[0]},{key[1]})")
+            edges[key] = line_no
         elif kind == "chain":
-            if len(args) < 2:
+            if len(tokens) < 3:
                 raise ParseError(line_no, "expected: chain <first-id> <w1> ...")
-            first = _int(args[0], line_no, "chain first id")
-            ws = [
-                _int(tok, line_no, "chain weight") for tok in args[1:]
-            ]
-            for i, w in enumerate(ws):
-                add_vertex(first + i, w, False, line_no)
-            for i in range(len(ws) - 1):
-                add_edge(first + i, first + i + 1, line_no)
+            try:
+                first = int(tokens[1])
+                ws = [int(tok) for tok in tokens[2:]]
+            except ValueError:
+                raise _not_int(
+                    line_no,
+                    [("chain first id", tokens[1])]
+                    + [("chain weight", tok) for tok in tokens[2:]],
+                ) from None
+            for vid, w in enumerate(ws, start=first):
+                if vid in weights:
+                    raise ParseError(line_no, f"duplicate vertex id {vid}")
+                weights[vid] = w
+            for u in range(first, first + len(ws) - 1):
+                if (u, u + 1) in edges:
+                    raise ParseError(line_no, f"duplicate edge ({u},{u + 1})")
+                edges[u, u + 1] = line_no
         else:
             raise ParseError(line_no, f"unknown directive {kind!r}")
 
-    for (u, v), line_no in zip(edges, edge_lines):
+    for (u, v), line_no in edges.items():
         if u not in weights or v not in weights:
             missing = u if u not in weights else v
             raise ParseError(line_no, f"edge references undeclared vertex {missing}")
@@ -104,10 +122,12 @@ def parse_dgn(text: str) -> DualGraph:
 
 
 def serialize_dgn(g: DualGraph) -> str:
-    lines = []
-    for v in g.vertex_ids:
-        mark = " C" if g.c == v else ""
-        lines.append(f"v {v} {g.weight(v)}{mark}")
-    for u, v in sorted(g.edges):
-        lines.append(f"e {u} {v}")
+    """One pass over the expanded weights (sorted by id) and edges (always
+    kept sorted)."""
+    weights, edges = g._expand()
+    items = sorted(weights.items())
+    lines = [f"v {v} {w}" for v, w in items]
+    if g.c is not None:
+        lines[bisect_left(items, (g.c,))] += " C"
+    lines += [f"e {u} {v}" for u, v in edges]
     return "\n".join(lines) + ("\n" if lines else "")

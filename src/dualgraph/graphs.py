@@ -36,6 +36,7 @@ product of the root fulls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -117,17 +118,24 @@ class DualGraph:
             weights = dict(self._core)
             pairs: list[tuple[int, int]] = []
             for a, b, ids in self._links:
+                if not ids:
+                    if a is not None and b is not None:
+                        pairs.append((a, b) if a < b else (b, a))
+                    continue
                 weights.update(dict.fromkeys(ids, -2))
-                path = list(ids)
-                if a is not None:
-                    path.insert(0, a)
-                if b is not None:
-                    path.append(b)
-                pairs += zip(path, path[1:])
+                for end, x in ((a, ids[0]), (b, ids[-1])):
+                    if end is not None:
+                        pairs.append((end, x) if end < x else (x, end))
+                if type(ids) is range:
+                    # consecutive ids: the pairs come out ordered already
+                    up = ids if ids.step > 0 else ids[::-1]
+                    pairs += zip(up, up[1:])
+                else:
+                    pairs += (
+                        (u, v) if u < v else (v, u) for u, v in zip(ids, ids[1:])
+                    )
             self._weights = dict(sorted(weights.items()))
-            self._edges = tuple(
-                sorted((u, v) if u < v else (v, u) for u, v in pairs)
-            )
+            self._edges = tuple(sorted(pairs))
         return self._weights, self._edges
 
     # -- basic accessors -------------------------------------------------
@@ -248,20 +256,22 @@ class DualGraph:
     def delete(self, v: int) -> "DualGraph":
         """The graph with vertex v (and its edges) removed.
 
-        The compact form is cut and re-joined around v in time independent of
-        the run lengths; vertex-level data, when already held, is filtered
-        alongside so its order is kept.
+        A graph holding the compact form has it cut and re-joined around v in
+        time independent of the run lengths; its vertex-level data is then
+        expanded from the cut form if and when it is asked for.  A graph
+        holding only vertex-level data has that filtered, in order.
         """
         if v not in self:
             raise ValueError(f"no vertex {v}")
-        core = links = weights = edges = None
+        c = None if self._c == v else self._c
+        g = DualGraph.__new__(DualGraph)
         if self._core is not None:
             core, links = _normalize(*_cut(self._core, self._links, v))
-        if self._weights is not None:
+            g._init(core, links, None, None, c)
+        else:
             weights = {u: wt for u, wt in self._weights.items() if u != v}
             edges = tuple((a, b) for a, b in self._edges if v not in (a, b))
-        g = DualGraph.__new__(DualGraph)
-        g._init(core, links, weights, edges, None if self._c == v else self._c)
+            g._init(None, None, weights, edges, c)
         return g
 
     def minus_c(self) -> "DualGraph":
@@ -282,30 +292,39 @@ class DualGraph:
 
 
 def _join(pieces: Sequence[Sequence[int]]) -> Sequence[int]:
-    """Concatenated ids: a range when they step by +-1, else a tuple."""
-    if len(pieces) == 1 and type(pieces[0]) is range:
-        return pieces[0]  # ranges here always step by +-1
-    segs: list[list[int]] = []  # [first, last, step]; step 0 for one id
+    """Concatenated ids: a range when they step by +-1, else a tuple.
+
+    Pieces are ranges (which always step by +-1 here), tuples or flat lists.
+    Empty pieces are skipped; a longer piece is one span when it equals the
+    range between its ends, a single comparison.
+    """
+    span = None  # [first, last, step]; step 0 while it holds one id
     for p in pieces:
-        if type(p) is range:
-            if not p:
-                continue
-            parts: Iterable = ((p[0], p[-1], p.step if len(p) > 1 else 0),)
+        if not p:
+            continue
+        first, last, n = p[0], p[-1], len(p)
+        step = 0
+        if n > 1:
+            step = 1 if last > first else -1
+            if last - first != step * (n - 1) or (
+                type(p) is not range
+                and list(p) != list(range(first, last + step, step))
+            ):
+                return tuple(chain.from_iterable(pieces))
+        if span is None:
+            span = [first, last, step]
+            continue
+        d = first - span[1]
+        if (d == 1 or d == -1) and span[2] in (0, d) and step in (0, d):
+            span[1] = last
+            span[2] = d
         else:
-            parts = ((x, x, 0) for x in p)
-        for first, last, step in parts:
-            if segs:
-                s = segs[-1]
-                d = first - s[1]
-                if (d == 1 or d == -1) and s[2] in (0, d) and step in (0, d):
-                    s[1] = last
-                    s[2] = d
-                    continue
-            segs.append([first, last, step])
-    spans = [range(f, l + (s or 1), s or 1) for f, l, s in segs]
-    if len(spans) == 1:
-        return spans[0]
-    return tuple(chain.from_iterable(spans)) if spans else range(0)
+            return tuple(chain.from_iterable(pieces))
+    if span is None:
+        return range(0)
+    first, last, step = span
+    step = step or 1
+    return range(first, last + step, step)
 
 
 def link_neighbor(end: _End) -> int:
@@ -331,15 +350,15 @@ def _normalize(
     them; each maximal run is walked once, so the cost is linear in the
     number of nodes and links, not in the run lengths.
     """
-    deg = dict.fromkeys(nodes, 0)
-    for a, b, _ in links:
+    inc: dict[int, list[int]] = {v: [] for v in nodes}  # node -> its links
+    for i, (a, b, _) in enumerate(links):
         if a is not None:
-            deg[a] += 1
+            inc[a].append(i)
         if b is not None:
-            deg[b] += 1
-    core = {v: w for v, w in nodes.items() if w != -2 or not 0 < deg[v] < 3}
+            inc[b].append(i)
+    core = {v: w for v, w in nodes.items() if w != -2 or not 0 < len(inc[v]) < 3}
     if len(core) < len(nodes):
-        links = _walk_runs(core, links)
+        links = _walk_runs(core, links, inc)
     # else nothing is absorbed: every link already is a maximal run
     extra = []
     out = []
@@ -361,66 +380,66 @@ def _normalize(
     return core, tuple(out)
 
 
-def _walk_runs(core: dict[int, int], links: Sequence[_Link]) -> list[_Link]:
-    """The maximal runs through the non-core nodes.  A core-free cycle gets
-    its smallest id added to core."""
-    inc: dict[int, list[int]] = {}
-    for i, (a, b, _) in enumerate(links):
-        if a is not None:
-            inc.setdefault(a, []).append(i)
-        if b is not None:
-            inc.setdefault(b, []).append(i)
+def _walk_runs(
+    core: dict[int, int], links: Sequence[_Link], inc: dict[int, list[int]]
+) -> list[_Link]:
+    """The maximal runs through the non-core nodes, given each node's links.
+    A core-free cycle gets its smallest id added to core."""
     used = [False] * len(links)
 
-    def walk(v, i, pieces):
-        """Follow link i away from v through absorbed nodes; the far end."""
+    def walk(v, i, flat):
+        """Follow link i away from v through absorbed nodes, gathering them
+        in the flat list flat; (far end, the run's ids)."""
+        pieces: list[Sequence[int]] = []
         while True:
             used[i] = True
             a, b, ids = links[i]
             if a == v:
-                pieces.append(ids)
                 v = b
             else:
-                pieces.append(ids[::-1])
                 v = a
+                ids = ids[::-1]
+            if ids:
+                if flat:
+                    pieces.append(flat)
+                    flat = []
+                pieces.append(ids)
             if v is None or v in core:
-                return v
-            pieces.append((v,))
+                break
+            flat.append(v)
             nxt = inc[v]
             if len(nxt) == 1:
-                return None
+                v = None
+                break
             i = nxt[1] if nxt[0] == i else nxt[0]
+        if flat:
+            pieces.append(flat)
+        return v, _join(pieces)
 
     out: list[_Link] = []
     for v in core:
-        for i in inc.get(v, ()):
+        for i in inc[v]:
             if not used[i]:
-                pieces: list = []
-                far = walk(v, i, pieces)
-                out.append((v, far, _join(pieces)))
+                out.append((v, *walk(v, i, [])))
+    if all(used):
+        return out
     # what is left has no core: paths from a free end or an end node ...
     for i, (a, b, _) in enumerate(links):
         if not used[i] and (a is None or b is None):
-            pieces = []
-            walk(None, i, pieces)
-            out.append((None, None, _join(pieces)))
+            out.append((None, None, walk(None, i, [])[1]))
     for v, nxt in inc.items():
         if v not in core and len(nxt) == 1 and not used[nxt[0]]:
-            pieces = [(v,)]
-            walk(v, nxt[0], pieces)
-            out.append((None, None, _join(pieces)))
+            out.append((None, None, walk(v, nxt[0], [v])[1]))
     # ... and cycles, which keep their smallest id as core
     for i, (a, _, _) in enumerate(links):
         if not used[i]:
             core[a] = -2  # so the walk stops where the cycle closes
-            pieces = []
-            walk(a, i, pieces)
+            ring = [a, *walk(a, i, [])[1]]
             del core[a]
-            ring = [a, *chain.from_iterable(pieces)]
             k = ring.index(min(ring))
             ring = ring[k:] + ring[:k]
             core[ring[0]] = -2
-            out.append((ring[0], ring[0], _join([tuple(ring[1:])])))
+            out.append((ring[0], ring[0], _join([ring[1:]])))
     return out
 
 
@@ -755,50 +774,7 @@ def blow_up_free(g: DualGraph, new_id: int | None = None) -> DualGraph:
     return DualGraph(weights, g.edges, g.c)
 
 
-def _is_path(g: DualGraph) -> list[int] | None:
-    """Vertex ids in path order if g is a nonempty simple path, else None."""
-    n = len(g)
-    if n == 0 or len(g.edges) != n - 1:
-        return None
-    adj = g.adjacency
-    degs = [len(adj[v]) for v in g.vertex_ids]
-    if n == 1:
-        return [g.vertex_ids[0]]
-    if max(degs) > 2 or degs.count(1) != 2:
-        return None
-    start = min(v for v in g.vertex_ids if len(adj[v]) == 1)
-    order = [start]
-    prev = None
-    cur = start
-    while len(order) < n:
-        nxt = [w for w in adj[cur] if w != prev]
-        if not nxt:
-            return None  # disconnected: a path piece plus something else
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
-
-
-def _contract_all_path(ids: list[int], ws: list[int]) -> tuple[list[int], list[int]]:
-    """contract_all specialised to a path kept as parallel id/weight lists."""
-    while len(ids) > 2:
-        best = None
-        for i, w in enumerate(ws):
-            if w == -1 and (best is None or ids[i] < ids[best]):
-                best = i
-        if best is None:
-            break
-        # interior neighbors on a path of >= 3 vertices are never adjacent
-        if best > 0:
-            ws[best - 1] += 1
-        if best < len(ids) - 1:
-            ws[best + 1] += 1
-        del ids[best]
-        del ws[best]
-    return ids, ws
-
-
-def contract_all(g: DualGraph, _pick=min) -> DualGraph:
+def contract_all(g: DualGraph) -> DualGraph:
     """Blow down (-1)-vertices repeatedly until none is eligible.
 
     A vertex is eligible when it weighs -1, has degree <= 2, its neighbors
@@ -808,47 +784,42 @@ def contract_all(g: DualGraph, _pick=min) -> DualGraph:
     -1 with degree <= 2 but every such vertex has adjacent neighbors, the
     contraction is stuck on a cycle and WouldCreateCycle is raised.
 
-    _pick chooses among eligible ids (default min); it exists so tests can
-    probe order (in)dependence and is not part of the public surface.
+    A min-heap holds every eligible id, besides stale ones that are checked
+    when popped; a vertex found stuck between adjacent neighbors is set
+    aside.  Only the neighbors of a blown-down vertex change weight, degree
+    or neighbors, and an edge goes only where it met the blown-down vertex,
+    so those neighbors are the only vertices that can turn eligible (or stop
+    being stuck) and the only ones pushed again.  The cost is O(n log n).
     """
-    if _pick is min and len(g) > 2:
-        path = _is_path(g)
-        if path is not None:
-            ws = [g.weight(v) for v in path]
-            ids, ws = _contract_all_path(list(path), ws)
-            weights = dict(zip(ids, ws))
-            edges = [
-                (a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:])
-            ]
-            c = g.c if g.c in weights else None
-            return DualGraph(weights, edges, c)
     weights = g.weights
     adj: dict[int, set[int]] = {v: set() for v in weights}
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
     c = g.c
+    heap = sorted(v for v, w in weights.items() if w == -1)
+    aside: set[int] = set()  # weigh -1 with degree 2, neighbors adjacent
     while len(weights) > 2:
-        candidates = [
-            v for v, w in sorted(weights.items()) if w == -1 and len(adj[v]) <= 2
-        ]
-        eligible = [
-            v
-            for v in candidates
-            if len(adj[v]) < 2 or not _neighbors_adjacent(adj, v)
-        ]
-        if not eligible:
-            if candidates:
+        if not heap:
+            if aside:
                 raise WouldCreateCycle(
-                    f"every contractible (-1)-vertex (e.g. {candidates[0]}) "
+                    f"every contractible (-1)-vertex (e.g. {min(aside)}) "
                     "has adjacent neighbors"
                 )
             break
-        v = _pick(eligible)
+        v = heappop(heap)
+        if weights.get(v) != -1 or len(adj[v]) > 2:
+            aside.discard(v)
+            continue
+        if len(adj[v]) == 2 and _neighbors_adjacent(adj, v):
+            aside.add(v)
+            continue
+        aside.discard(v)
         nbrs = sorted(adj[v])
         for u in nbrs:
             weights[u] += 1
             adj[u].discard(v)
+            heappush(heap, u)
         if len(nbrs) == 2:
             adj[nbrs[0]].add(nbrs[1])
             adj[nbrs[1]].add(nbrs[0])

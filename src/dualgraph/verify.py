@@ -570,11 +570,12 @@ def verify_contraction_suite(
             continue
         g1, _ = moved
         d1 = g1.minus_c()
+        d_contracted = graph_d(contract_all(g))
         run.check(
-            graph_d(contract_all(g)) == -1,
+            d_contracted == -1,
             "contract-all-determinant",
             key,
-            str(graph_d(contract_all(g))),
+            str(d_contracted),
         )
         # the two ends next to C: v_deep carries weight <= -3, v_two is the
         # (-2) side; the equivalences below only apply when the relevant

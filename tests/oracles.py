@@ -1,8 +1,9 @@
 """Brute-force oracles, independent of the library's algorithms.
 
 Everything here works on plain list-of-lists integer matrices so that none of
-the package's elimination code is in the loop.  These are the reference
-implementations the fast code must agree with.
+the package's elimination code is in the loop, except contract_all_rescan,
+which reads and returns DualGraphs.  These are the reference implementations
+the fast code must agree with.
 """
 
 from __future__ import annotations
@@ -161,3 +162,55 @@ def graph_neg_matrix(g):
         rows[index[u]][index[v]] = -1
         rows[index[v]][index[u]] = -1
     return rows
+
+
+def contract_all_rescan(g, pick):
+    """contract_all by rescanning every weight at each blow-down; pick
+    chooses among the eligible ids (sorted), so contract_all_rescan(g, min)
+    is the reference for the library's smallest-id-first order.  Quadratic,
+    for small graphs."""
+    from dualgraph.errors import WouldCreateCycle
+    from dualgraph.graphs import DualGraph
+
+    def neighbors_adjacent(adj, v):
+        a, b = adj[v]
+        return b in adj[a]
+
+    weights = g.weights
+    adj: dict[int, set[int]] = {v: set() for v in weights}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    c = g.c
+    while len(weights) > 2:
+        candidates = [
+            v for v, w in sorted(weights.items()) if w == -1 and len(adj[v]) <= 2
+        ]
+        eligible = [
+            v
+            for v in candidates
+            if len(adj[v]) < 2 or not neighbors_adjacent(adj, v)
+        ]
+        if not eligible:
+            if candidates:
+                raise WouldCreateCycle(
+                    f"every contractible (-1)-vertex (e.g. {candidates[0]}) "
+                    "has adjacent neighbors"
+                )
+            break
+        v = pick(eligible)
+        nbrs = sorted(adj[v])
+        for u in nbrs:
+            weights[u] += 1
+            adj[u].discard(v)
+        if len(nbrs) == 2:
+            adj[nbrs[0]].add(nbrs[1])
+            adj[nbrs[1]].add(nbrs[0])
+        del weights[v]
+        del adj[v]
+        if c == v:
+            c = None
+    edges = sorted(
+        (u, v) for u, nbs in adj.items() for v in nbs if u < v
+    )
+    return DualGraph(weights, edges, c)

@@ -62,6 +62,20 @@ def test_parse_edge_before_vertex_is_fine():
         ("chain 4\n", 1, "expected"),
         ("chain 1 -2 -2\nv 2 -3\n", 2, "duplicate vertex"),
         ("e 1\n", 1, "expected"),
+        # two faults: the one met first wins ...
+        ("v 1 -2\nv 2 -2\ne 1 2\ne 2 1\nv x -2\n", 4, "duplicate edge"),
+        ("v 1 -2\nv y -3\ne 1 9\n", 2, "integer"),
+        # ... and undeclared endpoints are met only after the last line
+        ("e 1 9\nv 1 -2\nv z -3\n", 3, "integer"),
+        ("v 1 -2 c\n", 1, "expected"),
+        ("v 1 -2 X\n", 1, "expected"),
+        ("v 1 -2#glued\nv 1 -3\n", 2, "duplicate vertex"),
+        ("v 1#-2\n", 1, "expected"),
+        ("v 3 -2\nchain 1 -2 -2 -2\n", 2, "duplicate vertex"),
+        ("chain 1 -2 -2\nv 5 -3\nchain 4 -2 -2\n", 3, "duplicate vertex"),
+        ("e 1 2\nchain 1 -2 -2\n", 2, "duplicate edge"),
+        ("chain 1 -2 -2\nv 4 -3\nchain 5 -2 q\n", 3, "chain weight"),
+        ("chain p -2\n", 1, "chain first id"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):

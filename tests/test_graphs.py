@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualgraph.dgn import parse_dgn, serialize_dgn
 from dualgraph.errors import (
     DomainError,
     NotContractibleCurve,
@@ -36,6 +37,7 @@ from dualgraph.twigs import twig_determinant
 
 from oracles import (
     charpoly_negdef,
+    contract_all_rescan,
     dense_det,
     graph_neg_matrix,
     principal_minor_negdef,
@@ -367,7 +369,8 @@ def test_contract_all_cascades():
 def test_contract_all_is_order_dependent_in_general():
     g = chain_graph([-2, -2, -1, -2])
     first = contract_all(g)
-    adversarial = contract_all(g, _pick=max)
+    assert first == contract_all_rescan(g, min)
+    adversarial = contract_all_rescan(g, max)
     assert sorted(first.weights.values()) == [-1, 0]
     assert sorted(adversarial.weights.values()) == [-2, 0]
     assert first != adversarial
@@ -393,13 +396,57 @@ def test_contract_all_fast_lane_matches_general():
         n = rng.randint(1, 9)
         ws = [rng.choice([-3, -2, -1]) for _ in range(n)]
         g = chain_graph(ws, first_id=rng.randint(1, 4))
-        assert contract_all(g) == contract_all(g, _pick=pick_min)
+        assert contract_all(g) == contract_all_rescan(g, pick_min)
 
 
 def test_contract_all_on_marked_graph():
     # C weighing -1 is contracted like any other vertex and loses its mark
     g = chain_graph([-2, -1, -2], c_index=1)
     assert contract_all(g).c is None
+
+
+@st.composite
+def _contractible_graphs(draw):
+    """Small graphs with cycles, a mark and weights in {-3, -2, -1, 0}."""
+    k = draw(st.integers(0, 9))
+    ids = draw(st.lists(st.integers(0, 30), min_size=k, max_size=k, unique=True))
+    ws = draw(st.lists(st.sampled_from((-3, -2, -1, -1, 0)), min_size=k, max_size=k))
+    pairs = list(itertools.combinations(ids, 2))
+    edges = draw(
+        st.lists(st.sampled_from(pairs), unique=True, max_size=12)
+        if pairs
+        else st.just([])
+    )
+    c = draw(st.sampled_from([None] + ids))
+    return DualGraph(dict(zip(ids, ws)), edges, c)
+
+
+def _contract_outcome(fn, g):
+    try:
+        return fn(g)
+    except WouldCreateCycle as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_contractible_graphs())
+def test_contract_all_matches_the_rescan_oracle(g):
+    # the heap worklist keeps the smallest-id order and names the same
+    # stuck vertex when it raises
+    got = _contract_outcome(contract_all, g)
+    want = _contract_outcome(lambda h: contract_all_rescan(h, min), g)
+    assert got == want
+    if isinstance(got, DualGraph):
+        assert got.c == want.c
+
+
+def test_contract_all_on_a_long_run_read_from_dgn():
+    spec = FamilyInstance(family=3, A=(1000,), n=2, l=10**4)
+    g = parse_dgn(serialize_dgn(build_family(spec)))
+    assert len(g) == 11003
+    h = contract_all(g)
+    assert list(h.weights.values()) == [0, -2]
+    assert graph_d(h) == graph_d(g)
 
 
 # -- shape reports ------------------------------------------------------------
