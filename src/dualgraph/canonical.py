@@ -6,14 +6,15 @@ coefficient vector alpha >= 0 with sum_j alpha_j I_ij = 2 + w_i at every
 vertex.  Pairing those coefficients against the neighbors of a C-marked
 (-1)-vertex classifies the instance: below 1, exactly 1, or above 1.
 
-Forests are solved by leaf-first Schur elimination on the integer pass of
-the graphs module, whose pivots are full/hole and which crosses (-2)-runs in
-closed form; the coefficients along any run form an arithmetic progression,
-kept as its first entry and step.  k_type_report reads those progressions
-at their ends, in time independent of the run lengths; compute_dnatural
-expands them, one coefficient per vertex.  Anything with a cycle
-falls back to fraction-free integer elimination on the augmented system with
-exact divisions at the end.
+The solve reads the graph's one cached pass from the graphs module.  On a
+forest that is the integer leaf-first pass, whose pivots are full/hole and
+which crosses (-2)-runs in closed form; the coefficients along any run form
+an arithmetic progression, kept as its first entry and step.  A graph with a
+cycle carries the solution scaled by det(-I) from its one fraction-free
+elimination, and only its division by det(-I) is left.  k_type_report and
+the contraction suite read the C-pairing from the progressions at their
+ends, in time independent of the run lengths; compute_dnatural expands them,
+one coefficient per vertex.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from .errors import (
     NotMinimalResolutionGraph,
     OutOfScopeBoundary,
 )
-from .graphs import (
-    DualGraph,
-    _through_run,
-    _tree_pass,
-    _TreePass,
-    intersection_matrix,
-)
+from .graphs import DualGraph, _elimination, _through_run, _TreePass
 
 
 @dataclass(frozen=True, eq=True)
@@ -83,12 +78,17 @@ def _solve(gD: DualGraph) -> list[_Piece]:
             raise NotMinimalResolutionGraph(f"vertex {v} has weight {w} > -2")
     if len(gD) == 0:
         return []
-    tp = _tree_pass(gD)
-    if tp is None:
-        zero = Fraction(0)
-        pieces = [((v,), a, zero) for v, a in _solve_dense(gD).items()]
+    elim = _elimination(gD)
+    if not elim.definite:
+        raise NotContractible("intersection form is not negative definite")
+    if isinstance(elim, _TreePass):
+        pieces = _solve_forest(elim)
     else:
-        pieces = _solve_forest(tp)
+        zero = Fraction(0)
+        pieces = [
+            ((v,), Fraction(x, elim.det), zero)
+            for v, x in zip(gD.vertex_ids, elim.scaled)
+        ]
     # a progression is smallest at one of its ends
     if any(
         first < 0 or (step < 0 and first + (len(ids) - 1) * step < 0)
@@ -116,8 +116,6 @@ def _per_vertex(pieces: list[_Piece]) -> dict[int, Fraction]:
 
 
 def _solve_forest(tp: _TreePass) -> list[_Piece]:
-    if not tp.definite:
-        raise NotContractible("intersection form is not negative definite")
     zero = Fraction(0)
     pieces: list[_Piece] = [(run, zero, zero) for run in tp.pure]
     full, hole = tp.full, tp.hole
@@ -153,30 +151,6 @@ def _solve_forest(tp: _TreePass) -> list[_Piece]:
     return pieces
 
 
-def _solve_dense(g: DualGraph) -> dict[int, Fraction]:
-    """Fraction-free elimination on the augmented system, divisions last."""
-    order = g.vertex_ids
-    n = len(order)
-    m = intersection_matrix(g)
-    a = [[-x for x in row] + [-g.weight(order[i]) - 2] for i, row in enumerate(m.rows)]
-    prev = 1
-    for k in range(n):
-        if a[k][k] <= 0:
-            raise NotContractible("intersection form is not negative definite")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(a[i][n])
-        for j in range(i + 1, n):
-            s -= a[i][j] * x[j]
-        x[i] = s / a[i][i]
-    return dict(zip(order, x))
-
-
 def c_pairing(g: DualGraph, dnat: DNatural) -> Fraction:
     """Sum of coefficients over the neighbors of the C-marked vertex."""
     if g.c is None:
@@ -190,6 +164,26 @@ def c_pairing(g: DualGraph, dnat: DNatural) -> Fraction:
                 f"coefficient vector does not cover vertex {v}"
             ) from None
     return total
+
+
+def _c_pairing(g: DualGraph, off_c: DualGraph) -> tuple[Fraction, list[_Piece]]:
+    """The pairing of C against the adjunction solve of off_c, the graph g
+    without C, and the solve's pieces.
+
+    Each neighbor of C is looked up in its piece, so a run is read at one
+    position and never expanded.  A neighbor that no piece covers is a
+    DomainError, as in c_pairing.
+    """
+    pieces = _solve(off_c)
+    total = Fraction(0)
+    for v in g.neighbors(g.c):
+        for ids, first, step in pieces:
+            if v in ids:
+                total += first + ids.index(v) * step
+                break
+        else:
+            raise DomainError(f"coefficient vector does not cover vertex {v}")
+    return total, pieces
 
 
 def k_type_report(g: DualGraph) -> tuple[KType, Fraction]:
@@ -212,11 +206,7 @@ def k_type_report(g: DualGraph) -> tuple[KType, Fraction]:
             f"marked vertex weighs {g.weight(g.c)}, classification needs -1"
         )
     g._compact()  # so the cut and the neighbors below read the runs
-    pieces = _solve(g.minus_c())
-    pairing = Fraction(0)
-    for v in g.neighbors(g.c):
-        ids, first, step = next(p for p in pieces if v in p[0])
-        pairing += first + ids.index(v) * step
+    pairing, pieces = _c_pairing(g, g.minus_c())
     if pairing < 1:
         return KType.ANTI_CANONICAL_AMPLE, pairing
     if pairing == 1:

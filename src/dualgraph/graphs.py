@@ -21,16 +21,20 @@ edge tests are read from the compact form whenever the graph holds it, so
 they expand nothing.  A graph given as vertex-level data keeps that data and
 compresses on first use.
 
-On a forest the determinant, definiteness and adjunction questions share one
-integer leaf-first pass.  For the subtree below a core vertex v, full(v) is
-det(-I) of the subtree and hole(v) the same determinant with v struck out:
+Every determinant, definiteness and adjunction question reads one pass per
+graph, computed on first use and cached (with_mark carries it over).  On a
+forest it is an integer leaf-first pass over the compact form.  For the
+subtree below a core vertex v, full(v) is det(-I) of the subtree and hole(v)
+the same determinant with v struck out:
 full(v) = a_v * prod full(c) - sum_i hole(c_i) * prod_{j != i} full(c_j) and
 hole(v) = prod full(c), the tree generalization of the chain recurrence.  A
 run of j (-2)-vertices maps a child's (F, H) to ((j+1)F - jH, jF - (j-1)H),
 and a pendant run contributes (j+1, j).  Leaf-first Schur elimination has the
 pivots full/hole, so I is negative definite iff every full is positive; along
 a run full is linear in the run index, so its two ends decide.  det(-I) is the
-product of the root fulls.
+product of the root fulls.  A graph with a cycle gets one fraction-free
+elimination of -I with the adjunction right-hand side appended (_bareiss),
+of which it keeps O(n) results.
 """
 
 from __future__ import annotations
@@ -96,7 +100,9 @@ class DualGraph:
         self._adj: dict[int, list[int]] | None = None
         self._inc: dict[int, list[_End]] | None = None
         self._hash: int | None = None
-        self._pass: _TreePass | bool | None = None
+        # None before the first question, False for a graph with a cycle
+        # that is not eliminated yet
+        self._pass: _TreePass | _DensePass | bool | None = None
 
     @classmethod
     def _from_parts(cls, nodes: dict[int, int], links: list[_Link], c):
@@ -505,29 +511,6 @@ def intersection_matrix(g: DualGraph) -> IntersectionMatrix:
     return IntersectionMatrix(order, tuple(tuple(r) for r in rows))
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination with row pivoting."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _components(g: DualGraph) -> list[list[int]]:
     adj = g.adjacency
     seen: set[int] = set()
@@ -581,10 +564,18 @@ def _through_run(full: int, hole: int, j: int) -> tuple[int, int]:
 
 
 def _tree_pass(g: DualGraph) -> _TreePass | None:
-    """The pass for g, computed once; None if g has a cycle."""
+    """The forest pass for g, computed once; None if g has a cycle.  Never
+    eliminates."""
     if g._pass is None:
         g._pass = _run_tree_pass(g) or False
-    return g._pass or None
+    return g._pass if type(g._pass) is _TreePass else None
+
+
+def _elimination(g: DualGraph) -> _TreePass | _DensePass:
+    """The one pass of g: the forest pass, else the dense elimination."""
+    if _tree_pass(g) is None and g._pass is False:
+        g._pass = _bareiss(g)
+    return g._pass
 
 
 def _run_tree_pass(g: DualGraph) -> _TreePass | None:
@@ -651,6 +642,52 @@ def _run_tree_pass(g: DualGraph) -> _TreePass | None:
     )
 
 
+@dataclass
+class _DensePass:
+    """What a graph with a cycle keeps of its elimination: O(n) results."""
+
+    definite: bool  # every pivot is positive
+    det: int  # det(-I)
+    scaled: list[int] | None  # det(-I) * x for -I x = -w - 2, if definite
+
+
+def _bareiss(g: DualGraph) -> _DensePass:
+    """Fraction-free elimination of -I in the canonical vertex order, with the
+    column -w - 2 appended (Bareiss 1968); rows swap only on a zero pivot.
+    Without a swap the k-th pivot is the k-th leading minor, so -I is positive
+    definite iff every pivot is positive (Sylvester); the last is det(-I).
+    det(-I) * x is then the adjugate applied to -w - 2, which is integral, so
+    the back substitution divides exactly.
+    """
+    m = intersection_matrix(g)
+    n = len(m.order)
+    a = [[-x for x in row] + [-row[i] - 2] for i, row in enumerate(m.rows)]
+    sign = prev = 1
+    definite = True
+    for k in range(n):
+        definite = definite and a[k][k] > 0
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return _DensePass(False, 0, None)
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        top, pivot = a[k], a[k][k]
+        for row in a[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [
+                (x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])
+            ]
+        prev = pivot
+    det = sign * prev
+    if not definite:
+        return _DensePass(False, det, None)
+    scaled = [0] * n
+    for i in reversed(range(n)):
+        s = det * a[i][n] - sum(x * y for x, y in zip(a[i][i + 1 : n], scaled[i + 1 :]))
+        scaled[i] = s // a[i][i]
+    return _DensePass(True, det, scaled)
+
+
 def is_forest(g: DualGraph) -> bool:
     return _tree_pass(g) is not None
 
@@ -662,11 +699,7 @@ def is_tree(g: DualGraph) -> bool:
 
 def graph_d(g: DualGraph) -> int:
     """det(-I(g)); 1 for the empty graph."""
-    tp = _tree_pass(g)
-    if tp is not None:
-        return tp.det
-    rows = [[-x for x in row] for row in intersection_matrix(g).rows]
-    return _bareiss_det(rows)
+    return _elimination(g).det
 
 
 def signed_determinant(g: DualGraph) -> int:
@@ -680,8 +713,8 @@ def signed_determinant(g: DualGraph) -> int:
 def is_negative_definite(g: DualGraph) -> bool:
     """True iff I(g) is negative definite (exact Sylvester test).
 
-    Forests read the integer pass on the compact form; anything else falls
-    back to fraction-free elimination on -I under the canonical vertex
+    Reads the graph's one pass: the integer pass on a forest's compact form,
+    else the pivots of the dense elimination of -I under the canonical vertex
     ordering.  Positive definiteness does not depend on the elimination
     order, so the two routes decide the same predicate.
     """
@@ -689,22 +722,7 @@ def is_negative_definite(g: DualGraph) -> bool:
         # a nonnegative diagonal entry is a nonpositive principal minor of -I
         # (run vertices all weigh -2, so the core weights decide)
         return False
-    tp = _tree_pass(g)
-    if tp is not None:
-        return tp.definite
-    rows = [[-x for x in row] for row in intersection_matrix(g).rows]
-    n = len(rows)
-    a = [list(r) for r in rows]
-    prev = 1
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return True
+    return _elimination(g).definite
 
 
 # -- blow-downs and contraction --------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain, repeat, starmap
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, ParseError
@@ -89,17 +90,23 @@ def adjoint(weights: Iterable[int]) -> Twig:
 
 
 _ITEM_RE = re.compile(r"^(?:(\d+)\*)?(\d+)$")
+_LENGTH_CAP = 10**7  # entries of a parsed twig
 
 
 def parse_twig(text: str) -> Twig:
-    """Parse `[a1,a2,...]` with optional `k*a` repetition, `[]` for empty."""
+    """Parse `[a1,a2,...]` with optional `k*a` repetition, `[]` for empty.
+
+    More than 10**7 entries after expansion is a ParseError, raised before
+    any is built.  An admissible twig of determinant d has at most d - 1
+    entries, so every twig the CLI prints with d <= 10**7 + 1 parses again.
+    """
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise ParseError(1, f"twig must be bracketed, got {text!r}")
     body = s[1:-1].strip()
     if not body:
         return ()
-    weights: list[int] = []
+    items: list[tuple[int, int]] = []
     for item in body.split(","):
         m = _ITEM_RE.match(item.replace(" ", ""))
         if not m:
@@ -108,8 +115,11 @@ def parse_twig(text: str) -> Twig:
         value = int(m.group(2))
         if value < 1:
             raise ParseError(1, f"twig weights must be positive, got {value}")
-        weights.extend([value] * count)
-    return tuple(weights)
+        items.append((value, count))
+    length = sum(count for _, count in items)
+    if length > _LENGTH_CAP:
+        raise ParseError(1, f"twig has {length} entries, more than {_LENGTH_CAP}")
+    return tuple(chain.from_iterable(starmap(repeat, items)))
 
 
 def format_twig(weights: Iterable[int]) -> str:

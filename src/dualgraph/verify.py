@@ -15,16 +15,10 @@ full.  The per-suite docstrings say which trims apply.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .canonical import (
-    KType,
-    c_pairing,
-    compute_dnatural,
-    k_type_report,
-)
+from .canonical import KType, _c_pairing, k_type_report
 from .errors import DomainError
 from .families import (
     FamilyInstance,
@@ -75,23 +69,6 @@ class Budget:
             "max_b_len": self.max_b_len,
             "max_b_weight": self.max_b_weight,
         }
-
-
-def thread_cap() -> int:
-    """Validated DUALGRAPH_THREADS value (0 = auto).  Execution is serial
-    either way; the variable is an upper bound, never a request."""
-    raw = os.environ.get("DUALGRAPH_THREADS", "0").strip()
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(
-            f"DUALGRAPH_THREADS must be a non-negative integer, got {raw!r}"
-        )
-    if cap < 0:
-        raise DomainError(
-            f"DUALGRAPH_THREADS must be a non-negative integer, got {raw!r}"
-        )
-    return cap
 
 
 def enumerate_admissible_twigs(max_len: int, max_weight: int) -> Iterator[Twig]:
@@ -505,7 +482,7 @@ def _pairing_of(g: DualGraph, off_c: DualGraph):
     that divisor does not exist (so a corrupted move is reported, not raised).
     """
     try:
-        return c_pairing(g, compute_dnatural(off_c))
+        return _c_pairing(g, off_c)[0]
     except DomainError:
         return None
 
@@ -646,7 +623,6 @@ SUITES = ("fujita", "threshold", "trichotomy", "axioms", "contraction")
 def verify_suite(name: str, budget: Budget = Budget()) -> dict:
     """Run one named suite under the budget (fujita takes its caps from
     max_len and max_b_weight)."""
-    thread_cap()
     if name == "fujita":
         return verify_fujita_suite(budget.max_len, budget.max_b_weight)
     if name == "threshold":

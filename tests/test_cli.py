@@ -224,13 +224,6 @@ def test_verify_rejects_unknown_suite():
     assert exc.value.code == 2
 
 
-def test_bad_thread_env_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setenv("DUALGRAPH_THREADS", "many")
-    code, _, err = run_cli(capsys, "verify", "--suite", "fujita", "--max-len", "1")
-    assert code == 1
-    assert "DUALGRAPH_THREADS" in err
-
-
 # -- module entry point ----------------------------------------------------------
 
 

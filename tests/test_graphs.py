@@ -4,12 +4,15 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualgraph import graphs
+from dualgraph.canonical import compute_dnatural
 from dualgraph.dgn import parse_dgn, serialize_dgn
 from dualgraph.errors import (
     DomainError,
+    NotContractible,
     NotContractibleCurve,
     WouldBreakChain,
     WouldCreateCycle,
@@ -38,6 +41,7 @@ from dualgraph.twigs import twig_determinant
 from oracles import (
     charpoly_negdef,
     contract_all_rescan,
+    dense_adjunction_solve,
     dense_det,
     graph_neg_matrix,
     principal_minor_negdef,
@@ -240,6 +244,81 @@ def test_negdef_agrees_with_charpoly_oracle():
     for ws in itertools.product((-3, -2, -1, 0), repeat=4):
         g = DualGraph(dict(enumerate(ws, start=1)), [(1, 2), (2, 3), (2, 4)])
         assert is_negative_definite(g) == charpoly_negdef(graph_neg_matrix(g))
+
+
+# -- the one elimination pass for graphs with cycles --------------------------
+
+
+@st.composite
+def _cyclic_graphs(draw):
+    """Small connected graphs with at least one cycle: a random spanning tree
+    plus chords, scattered ids and weights in -5..0 (or -5..-2, so that the
+    adjunction solve applies), so definite, indefinite and singular -I all
+    occur, and zero pivots force row swaps."""
+    n = draw(st.integers(3, 8))
+    ids = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True))
+    top = draw(st.sampled_from((0, -2)))
+    ws = draw(st.lists(st.integers(-5, top), min_size=n, max_size=n))
+    tree = [(ids[i], ids[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    keys = {frozenset(e) for e in tree}
+    others = [p for p in itertools.combinations(ids, 2) if frozenset(p) not in keys]
+    chords = draw(
+        st.lists(st.sampled_from(others), min_size=1, max_size=4, unique=True)
+    )
+    return DualGraph(dict(zip(ids, ws)), tree + chords)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cyclic_graphs())
+# a zero pivot first, then a row swap, and det(-I) = -6
+@example(DualGraph({1: 0, 2: -2, 3: -2}, [(1, 2), (2, 3), (1, 3)]))
+# an all-(-2) cycle: -I is singular
+@example(DualGraph({5: -2, -3: -2, 9: -2, 0: -2}, [(5, -3), (-3, 9), (9, 0), (0, 5)]))
+def test_cycle_kernel_matches_the_oracles(g):
+    assert not is_forest(g)
+    neg = graph_neg_matrix(g)
+    assert graph_d(g) == dense_det(neg)
+    assert signed_determinant(g) == dense_det([[-x for x in row] for row in neg])
+    definite = sylvester_negdef(neg)
+    assert is_negative_definite(g) == definite
+    if any(w > -2 for w in g.weights.values()):
+        return
+    if not definite:
+        with pytest.raises(NotContractible, match="^intersection form is not"):
+            compute_dnatural(g)
+        return
+    order = g.vertex_ids
+    rhs = [-g.weight(v) - 2 for v in order]
+    want = list(zip(order, dense_adjunction_solve(neg, rhs)))
+    assert list(compute_dnatural(g).coefficients.items()) == want
+
+
+def test_a_graph_with_cycles_is_eliminated_once(monkeypatch):
+    calls = []
+    kernel = graphs._bareiss
+
+    def counted(g):
+        calls.append(g)
+        return kernel(g)
+
+    monkeypatch.setattr(graphs, "_bareiss", counted)
+    weights = {1: -3, 2: -2, 3: -4, 4: -2, 5: -3}
+    edges = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 1)]
+    g = DualGraph(weights, edges)
+    marked = DualGraph(weights, edges, c=4)
+    # the shape questions never eliminate
+    assert not is_forest(g) and not is_tree(g) and not is_tree(marked)
+    assert shape_report(g).components and shape_report(marked).components
+    assert calls == []
+    assert is_negative_definite(g)
+    assert graph_d(g) == dense_det(graph_neg_matrix(g))
+    alpha = compute_dnatural(g).coefficients
+    assert len(calls) == 1
+    # a copy with another mark reads the same pass
+    copy = g.with_mark(4)
+    assert is_negative_definite(copy) and graph_d(copy) == graph_d(g)
+    assert compute_dnatural(copy.with_mark(None)).coefficients == alpha
+    assert len(calls) == 1
 
 
 # -- blow-downs --------------------------------------------------------------

@@ -202,6 +202,23 @@ def test_parse_twig_errors():
             parse_twig(bad)
 
 
+def test_parse_twig_caps_the_expanded_length():
+    # the cap is checked on the counts, before any entry is built, so a
+    # billion-entry twig fails at once
+    for bad in ("[1000000000*2]", "[5000000*2,5000001*3]", "[10000001*2]"):
+        with pytest.raises(ParseError) as exc:
+            parse_twig(bad)
+        assert exc.value.line == 1
+        assert "more than 10000000" in str(exc.value)
+
+
+def test_parse_twig_reads_back_long_printed_twigs():
+    # from-e prints a twig of determinant d, so at most d - 1 entries
+    t = twig_from_inductance(Fraction(1999999, 2000000))
+    assert len(t) == 1999999
+    assert parse_twig(format_twig(t)) == t
+
+
 @given(any_chains)
 def test_format_parse_round_trip(weights):
     if any(w < 1 for w in weights):

@@ -13,7 +13,6 @@ from dualgraph.verify import (
     SUITES,
     Budget,
     enumerate_admissible_twigs,
-    thread_cap,
     verify_all,
     verify_contraction_suite,
     verify_fujita_suite,
@@ -143,28 +142,3 @@ def test_contraction_suite_catches_wrong_neighbor_weight():
     rep = verify_contraction_suite(SMALL, blow_fn=bad_blow)
     assert rep["pass"] is False
     assert rep["failures"]
-
-
-# -- thread cap ------------------------------------------------------------------
-
-
-def test_thread_cap_reads_environment(monkeypatch):
-    monkeypatch.delenv("DUALGRAPH_THREADS", raising=False)
-    assert thread_cap() == 0
-    monkeypatch.setenv("DUALGRAPH_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("DUALGRAPH_THREADS", " 2 ")
-    assert thread_cap() == 2
-
-
-@pytest.mark.parametrize("junk", ["x", "-3", "1.5", ""])
-def test_thread_cap_rejects_junk(junk, monkeypatch):
-    monkeypatch.setenv("DUALGRAPH_THREADS", junk)
-    with pytest.raises(DomainError):
-        thread_cap()
-
-
-def test_suite_runner_validates_thread_cap(monkeypatch):
-    monkeypatch.setenv("DUALGRAPH_THREADS", "no")
-    with pytest.raises(DomainError):
-        verify_suite("fujita", TINY)
