@@ -166,15 +166,15 @@ def c_pairing(g: DualGraph, dnat: DNatural) -> Fraction:
     return total
 
 
-def _c_pairing(g: DualGraph, off_c: DualGraph) -> tuple[Fraction, list[_Piece]]:
-    """The pairing of C against the adjunction solve of off_c, the graph g
-    without C, and the solve's pieces.
+def _c_pairing(g: DualGraph) -> tuple[Fraction, list[_Piece]]:
+    """The pairing of C against the adjunction solve of g.minus_c(), and the
+    solve's pieces.
 
     Each neighbor of C is looked up in its piece, so a run is read at one
     position and never expanded.  A neighbor that no piece covers is a
     DomainError, as in c_pairing.
     """
-    pieces = _solve(off_c)
+    pieces = _solve(g.minus_c())
     total = Fraction(0)
     for v in g.neighbors(g.c):
         for ids, first, step in pieces:
@@ -206,7 +206,7 @@ def k_type_report(g: DualGraph) -> tuple[KType, Fraction]:
             f"marked vertex weighs {g.weight(g.c)}, classification needs -1"
         )
     g._compact()  # so the cut and the neighbors below read the runs
-    pairing, pieces = _c_pairing(g, g.minus_c())
+    pairing, pieces = _c_pairing(g)
     if pairing < 1:
         return KType.ANTI_CANONICAL_AMPLE, pairing
     if pairing == 1:

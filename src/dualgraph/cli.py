@@ -134,23 +134,8 @@ def _cmd_graph_contract(args) -> int:
 
 def _cmd_graph_shape(args) -> int:
     rep = shape_report(_load_graph(args.graph))
-    _emit(
-        {
-            "is_tree": rep.is_tree,
-            "c_id": rep.c_id,
-            "c_degree": rep.c_degree,
-            "components": [
-                {
-                    "vertices": list(comp.vertices),
-                    "kind": comp.kind,
-                    "branch_vertices": list(comp.branch_vertices),
-                    "touches_c": comp.touches_c,
-                    "c_contacts": list(comp.c_contacts),
-                }
-                for comp in rep.components
-            ],
-        }
-    )
+    # the reports' fields, tuples printed as lists
+    _emit({**vars(rep), "components": [vars(comp) for comp in rep.components]})
     return 0
 
 

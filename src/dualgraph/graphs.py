@@ -21,6 +21,11 @@ edge tests are read from the compact form whenever the graph holds it, so
 they expand nothing.  A graph given as vertex-level data keeps that data and
 compresses on first use.
 
+One DFS over the core, once per graph, finds the components (_core_dfs),
+each as its core vertices, its runs and its count of core-to-core links; the
+forest pass, shape_report and canonical_form all read it.  minus_c() cuts
+the C-vertex once and keeps the cut graph, with whatever it has computed.
+
 Every determinant, definiteness and adjunction question reads one pass per
 graph, computed on first use and cached (with_mark carries it over).  On a
 forest it is an integer leaf-first pass over the compact form.  For the
@@ -62,7 +67,7 @@ class DualGraph:
 
     __slots__ = (
         "_core", "_links", "_weights", "_edges", "_c", "_adj", "_inc", "_hash",
-        "_pass",
+        "_pass", "_dfs", "_minus_c",
     )
 
     def __init__(
@@ -103,6 +108,8 @@ class DualGraph:
         # None before the first question, False for a graph with a cycle
         # that is not eliminated yet
         self._pass: _TreePass | _DensePass | bool | None = None
+        self._dfs: _CoreDFS | None = None
+        self._minus_c: DualGraph | None = None
 
     @classmethod
     def _from_parts(cls, nodes: dict[int, int], links: list[_Link], c):
@@ -281,16 +288,19 @@ class DualGraph:
         return g
 
     def minus_c(self) -> "DualGraph":
+        """The graph without its C-vertex, cut on first use and kept."""
         if self._c is None:
             raise DomainError("graph has no C-marked vertex")
-        return self.delete(self._c)
+        if self._minus_c is None:
+            self._minus_c = self.delete(self._c)
+        return self._minus_c
 
     def with_mark(self, v: int | None) -> "DualGraph":
         if v is not None and v not in self:
             raise ValueError(f"marked vertex {v} does not exist")
         g = DualGraph.__new__(DualGraph)
         g._init(self._core, self._links, self._weights, self._edges, v)
-        g._adj, g._inc, g._pass = self._adj, self._inc, self._pass
+        g._adj, g._inc, g._pass, g._dfs = self._adj, self._inc, self._pass, self._dfs
         return g
 
 
@@ -511,42 +521,94 @@ def intersection_matrix(g: DualGraph) -> IntersectionMatrix:
     return IntersectionMatrix(order, tuple(tuple(r) for r in rows))
 
 
-def _components(g: DualGraph) -> list[list[int]]:
-    adj = g.adjacency
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in g.vertex_ids:
-        if start in seen:
+@dataclass(slots=True)
+class _CoreDFS:
+    """The one traversal of a graph's compact core.  order lists the core
+    vertices, parents first, one component after another from its root;
+    starts holds the position in order of each root.  parent maps a core
+    vertex to (parent or None, the run from the parent down to it).  links
+    counts the core-to-core links, self-loops included; pure lists the
+    core-free components, which are (-2)-chains."""
+
+    order: list[int]
+    parent: dict[int, tuple[int | None, Sequence[int]]]
+    starts: list[int]
+    links: int
+    pure: list[Sequence[int]]
+
+
+def _core_dfs(g: DualGraph) -> _CoreDFS:
+    """The core DFS of g, computed once per graph (with_mark carries it)."""
+    if g._dfs is None:
+        core, links = g._compact()
+        pure = []
+        core_to_core = 0
+        for a, b, ids in links:
+            if a is None:
+                pure.append(ids)
+            elif b is not None:
+                core_to_core += 1
+        inc = g.core_links()
+        parent: dict[int, tuple[int | None, Sequence[int]]] = {}
+        order: list[int] = []
+        starts: list[int] = []
+        for r in core:
+            if r in parent:
+                continue
+            starts.append(len(order))
+            parent[r] = (None, range(0))
+            stack = [r]
+            while stack:
+                u = stack.pop()
+                order.append(u)
+                for w, ids in inc[u]:
+                    if w is not None and w not in parent:
+                        parent[w] = (u, ids)
+                        stack.append(w)
+        g._dfs = _CoreDFS(order, parent, starts, core_to_core, pure)
+    return g._dfs
+
+
+@dataclass
+class _Component:
+    """One connected component of a graph, read off its core DFS."""
+
+    core: list[int]  # from the root, parents first; [] for a (-2)-chain
+    runs: list[Sequence[int]]  # the runs of its links, each once
+    links: int  # core-to-core links, self-loops included
+
+    def vertices(self) -> list[int]:
+        return sorted(chain(self.core, *self.runs))
+
+
+def _core_components(g: DualGraph) -> list[_Component]:
+    """The components of g: those with core in the order of their roots,
+    then the core-free ones."""
+    dfs = _core_dfs(g)
+    bounds = zip(dfs.starts, dfs.starts[1:] + [len(dfs.order)])
+    comps = [_Component(dfs.order[i:j], [], 0) for i, j in bounds]
+    comp_of = {v: comp for comp in comps for v in comp.core}
+    for a, b, ids in g._compact()[1]:
+        if a is None:
             continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for nb in adj[u]:
-                if nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
-    return comps
+        comp = comp_of[a]
+        comp.runs.append(ids)
+        if b is not None:
+            comp.links += 1
+    return comps + [_Component([], [ids], 0) for ids in dfs.pure]
 
 
 @dataclass
 class _TreePass:
     """The integer leaf-first pass over a forest's compact form.
 
-    order lists the core vertices, each parent before its children, one
-    component after another from its root (its first core vertex).
-    parent maps a core vertex to (parent or None, the run from the parent down
-    to it); links maps it to its (other end or None, run ordered away from
-    it), the parent's link included.  full and hole are the subtree
-    determinants of the module docstring; pure lists the core-free
-    components, which are (-2)-chains.
+    order, parent and pure are those of the core DFS; links maps a core
+    vertex to its (other end or None, run ordered away from it), the
+    parent's link included.  full and hole are the subtree determinants of
+    the module docstring.
     """
 
     weights: dict[int, int]
-    roots: list[int]
     order: list[int]
     parent: dict[int, tuple[int | None, Sequence[int]]]
     links: dict[int, list[tuple[int | None, Sequence[int]]]]
@@ -579,37 +641,13 @@ def _elimination(g: DualGraph) -> _TreePass | _DensePass:
 
 
 def _run_tree_pass(g: DualGraph) -> _TreePass | None:
-    core, links = g._compact()
-    pure = []
-    core_to_core = 0
-    for a, b, ids in links:
-        if a is None:
-            pure.append(ids)
-        elif a == b:
-            return None
-        elif b is not None:
-            core_to_core += 1
-    inc = g.core_links()
-    parent: dict[int, tuple[int | None, Sequence[int]]] = {}
-    order: list[int] = []
-    roots: list[int] = []
-    for r in core:
-        if r in parent:
-            continue
-        roots.append(r)
-        parent[r] = (None, range(0))
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for w, ids in inc[u]:
-                if w is not None and w not in parent:
-                    parent[w] = (u, ids)
-                    stack.append(w)
-    # a forest has one core-to-core link fewer than core vertices per
-    # component
-    if core_to_core != len(core) - len(roots):
+    dfs = _core_dfs(g)
+    order, parent = dfs.order, dfs.parent
+    # a forest has one core-to-core link fewer than core vertices per tree
+    if dfs.links != len(order) - len(dfs.starts):
         return None
+    core = g._compact()[0]
+    inc = g.core_links()
     full: dict[int, int] = {}
     hole: dict[int, int] = {}
     definite = True
@@ -635,11 +673,9 @@ def _run_tree_pass(g: DualGraph) -> _TreePass | None:
         hole[v] = h_v
         if up is None:
             det *= f_v
-    for ids in pure:
+    for ids in dfs.pure:
         det *= len(ids) + 1
-    return _TreePass(
-        core, roots, order, parent, inc, full, hole, pure, definite, det
-    )
+    return _TreePass(core, order, parent, inc, full, hole, dfs.pure, definite, det)
 
 
 @dataclass
@@ -693,8 +729,8 @@ def is_forest(g: DualGraph) -> bool:
 
 
 def is_tree(g: DualGraph) -> bool:
-    tp = _tree_pass(g)
-    return tp is not None and len(tp.roots) + len(tp.pure) == 1
+    dfs = _core_dfs(g)
+    return is_forest(g) and len(dfs.starts) + len(dfs.pure) == 1
 
 
 def graph_d(g: DualGraph) -> int:
@@ -883,45 +919,29 @@ class ShapeReport:
 
 
 def shape_report(g: DualGraph) -> ShapeReport:
-    """Describe g minus its C-vertex: components, chain/star kinds, contacts."""
-    tree = is_tree(g)
-    if g.c is None:
-        rest = g
-        c_nbrs: tuple[int, ...] = ()
-        c_deg = None
-    else:
-        rest = g.delete(g.c)
-        c_nbrs = g.neighbors(g.c)
-        c_deg = g.degree(g.c)
-    adj = rest.adjacency
+    """Describe g minus its C-vertex: components, chain/star kinds, contacts.
+
+    Reads the core DFS of g.minus_c().  Run vertices have degree 1 or 2, so
+    branch vertices are core; only the listed vertices are expanded.
+    """
+    tree = is_tree(g)  # compresses g first, so the cut reads its runs
+    rest = g if g.c is None else g.minus_c()
+    c_nbrs = set() if g.c is None else set(g.neighbors(g.c))
+    inc = rest.core_links()
     comps = []
-    for comp in _components(rest):
-        cset = set(comp)
-        branch = tuple(v for v in comp if len(adj[v]) >= 3)
-        edges_inside = sum(len(adj[v]) for v in comp) // 2
-        acyclic = edges_inside == len(comp) - 1
-        if not acyclic or len(branch) >= 2:
+    for comp in _core_components(rest):
+        vertices = tuple(comp.vertices())
+        branch = tuple(sorted(v for v in comp.core if len(inc[v]) >= 3))
+        # the core-to-core links of a tree join its core vertices in a tree
+        if comp.links >= max(len(comp.core), 1) or len(branch) >= 2:
             kind = "general"
-        elif len(branch) == 1:
-            kind = "star"
         else:
-            kind = "chain"
-        contacts = tuple(v for v in c_nbrs if v in cset)
-        comps.append(
-            ComponentShape(
-                vertices=tuple(comp),
-                kind=kind,
-                branch_vertices=branch,
-                touches_c=bool(contacts),
-                c_contacts=contacts,
-            )
-        )
-    return ShapeReport(
-        is_tree=tree,
-        c_id=g.c,
-        c_degree=c_deg,
-        components=tuple(comps),
-    )
+            kind = "star" if branch else "chain"
+        contacts = tuple(sorted(c_nbrs.intersection(vertices)))
+        comps.append(ComponentShape(vertices, kind, branch, bool(contacts), contacts))
+    comps.sort(key=lambda comp: comp.vertices[0])
+    c_deg = None if g.c is None else len(c_nbrs)
+    return ShapeReport(tree, g.c, c_deg, tuple(comps))
 
 
 # -- isomorphism of weighted marked forests ----------------------------------
@@ -929,13 +949,9 @@ def shape_report(g: DualGraph) -> ShapeReport:
 
 def _component_centers(adj: dict[int, list[int]], comp: list[int]) -> list[int]:
     """The 1 or 2 tree centers, by iterative leaf peeling."""
-    if len(comp) == 1:
-        return [comp[0]]
-    deg = {v: len(adj[v]) for v in comp}
-    layer = [v for v in comp if deg[v] <= 1]
+    inner = {v: len(adj[v]) for v in comp}
+    current = [v for v in comp if inner[v] <= 1]
     remaining = len(comp)
-    inner = dict(deg)
-    current = layer
     while remaining > 2:
         remaining -= len(current)
         nxt = []
@@ -998,8 +1014,8 @@ def canonical_form(g: DualGraph) -> tuple:
     if not is_forest(g):
         raise DomainError("canonical form is only defined for forests")
     codes = [
-        _rooted_code(g, _component_centers(g.adjacency, comp))
-        for comp in _components(g)
+        _rooted_code(g, _component_centers(g.adjacency, comp.vertices()))
+        for comp in _core_components(g)
     ]
     return tuple(sorted(codes))
 

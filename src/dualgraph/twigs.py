@@ -22,6 +22,7 @@ from typing import Iterable, NamedTuple
 from .errors import DomainError, ParseError
 
 Twig = tuple[int, ...]
+_LENGTH_CAP = 10**7  # entries of a twig read or built
 
 
 class TwigParts(NamedTuple):
@@ -31,7 +32,7 @@ class TwigParts(NamedTuple):
 
 
 def _as_twig(weights: Iterable[int]) -> Twig:
-    return tuple(int(w) for w in weights)
+    return tuple(map(int, weights))
 
 
 def is_admissible(weights: Iterable[int]) -> bool:
@@ -67,30 +68,38 @@ def twig_from_inductance(q: Fraction | int) -> Twig:
 
     Weights come from the ceiling continued fraction of 1/q: with x = d/p,
     a_1 = ceil(x) and the expansion recurses on 1/(a_1 - x) until exact.
-    The denominators strictly decrease, so the loop ends.
+    The denominators strictly decrease, so the loop ends, and it stops with
+    a DomainError rather than build more than 10**7 entries.
     """
     q = Fraction(q)
     if not 0 < q < 1:
         raise DomainError(f"inductance value must satisfy 0 < q < 1, got {q}")
     num, den = q.denominator, q.numerator  # x = num/den > 1
     weights = []
-    while den:
+    for _ in range(_LENGTH_CAP):
+        if not den:
+            break
         a = -(-num // den)  # ceiling
         weights.append(a)
         num, den = den, a * den - num
+    if den:
+        raise DomainError(f"twig would have more than {_LENGTH_CAP} entries")
     return tuple(weights)
 
 
 def adjoint(weights: Iterable[int]) -> Twig:
-    """The adjoint twig A*, defined by e(A*) = 1 - e(reverse(A))."""
+    """The adjoint twig A*, defined by e(A*) = 1 - e(reverse(A)).  It has
+    sum(a - 2) + 1 entries, so the cap is checked before anything is solved."""
     t = _as_twig(weights)
     if not t:
         raise DomainError("adjoint is undefined for the empty twig")
+    length = sum(t) - 2 * len(t) + 1
+    if length > _LENGTH_CAP and is_admissible(t):
+        raise DomainError(f"twig has {length} entries, more than {_LENGTH_CAP}")
     return twig_from_inductance(1 - inductance(t[::-1]))
 
 
 _ITEM_RE = re.compile(r"^(?:(\d+)\*)?(\d+)$")
-_LENGTH_CAP = 10**7  # entries of a parsed twig
 
 
 def parse_twig(text: str) -> Twig:

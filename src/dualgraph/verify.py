@@ -15,7 +15,7 @@ full.  The per-suite docstrings say which trims apply.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
 from .canonical import KType, _c_pairing, k_type_report
@@ -61,14 +61,7 @@ class Budget:
     max_b_weight: int = 6
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_det": self.max_det,
-            "max_len": self.max_len,
-            "max_n": self.max_n,
-            "max_m": self.max_m,
-            "max_b_len": self.max_b_len,
-            "max_b_weight": self.max_b_weight,
-        }
+        return asdict(self)
 
 
 def enumerate_admissible_twigs(max_len: int, max_weight: int) -> Iterator[Twig]:
@@ -463,26 +456,21 @@ def _qualifies(g: DualGraph, c: int) -> bool:
     return ws[1] == -2 and ws[0] <= -3
 
 
-def _f_move(g: DualGraph, blow_fn) -> tuple[DualGraph, int] | None:
+def _f_move(g: DualGraph, blow_fn) -> DualGraph | None:
     """Blow down C and re-mark the old (-2)-neighbor; None if not unique."""
     c = g.c
     two = [v for v in g.neighbors(c) if g.weight(v) == -2]
     if len(two) != 1:
         return None
-    g1 = blow_fn(g, c).with_mark(two[0])
-    return g1, two[0]
+    return blow_fn(g, c).with_mark(two[0])
 
 
-def _components_off(g: DualGraph) -> int:
-    return len(shape_report(g).components)
-
-
-def _pairing_of(g: DualGraph, off_c: DualGraph):
+def _pairing_of(g: DualGraph):
     """C-pairing against the adjoint divisor of the off-C part, or None when
     that divisor does not exist (so a corrupted move is reported, not raised).
     """
     try:
-        return _c_pairing(g, off_c)[0]
+        return _c_pairing(g)[0]
     except DomainError:
         return None
 
@@ -533,20 +521,17 @@ def verify_contraction_suite(
             continue
         run.instances += 1
         key = _spec_key(spec)
-        d_minus = g.minus_c()
-        neg = is_negative_definite(d_minus)
+        neg = is_negative_definite(g.minus_c())
         run.check(
             neg == valid,
             "valid-iff-negdef",
             key,
             f"negdef {neg}, in-bound {valid}",
         )
-        moved = _f_move(g, blow_fn)
-        run.check(moved is not None, "c-prime-unique", key)
-        if moved is None:
+        g1 = _f_move(g, blow_fn)
+        run.check(g1 is not None, "c-prime-unique", key)
+        if g1 is None:
             continue
-        g1, _ = moved
-        d1 = g1.minus_c()
         d_contracted = graph_d(contract_all(g))
         run.check(
             d_contracted == -1,
@@ -563,35 +548,36 @@ def verify_contraction_suite(
         two_alone = len(adj[v_two]) == 1
         if not deep_alone and not two_alone:
             run.check(
-                is_negative_definite(d1) == neg,
+                is_negative_definite(g1.minus_c()) == neg,
                 "f-negdef-iff",
                 key,
-                f"before {neg}, after {is_negative_definite(d1)}",
+                f"before {neg}, after {is_negative_definite(g1.minus_c())}",
             )
-        g2 = d2 = None
+        g2 = None
         if two_alone and g.weight(v_deep) == -3:
-            moved2 = _f_move(g1, blow_fn)
-            run.check(moved2 is not None, "c-second-unique", key)
-            if moved2 is not None:
-                g2, _ = moved2
-                d2 = g2.minus_c()
+            g2 = _f_move(g1, blow_fn)
+            run.check(g2 is not None, "c-second-unique", key)
+            if g2 is not None:
                 if not deep_alone:
                     run.check(
-                        is_negative_definite(d2) == neg,
+                        is_negative_definite(g2.minus_c()) == neg,
                         "g-negdef-iff",
                         key,
-                        f"before {neg}, after {is_negative_definite(d2)}",
+                        f"before {neg}, after {is_negative_definite(g2.minus_c())}",
                     )
         # pairing transitions need a contractible instance whose off-C part
         # has a branch vertex
         # run vertices have degree 1 or 2, so a branch vertex is core
-        branching = any(len(e) >= 3 for e in d_minus.core_links().values())
+        branching = any(len(e) >= 3 for e in g.minus_c().core_links().values())
         if not neg or not branching:
             continue
-        p = _pairing_of(g, d_minus)
-        clause1 = _components_off(g) <= 1 or _components_off(g1) >= 2
+        p = _pairing_of(g)
+        clause1 = (
+            len(shape_report(g).components) <= 1
+            or len(shape_report(g1).components) >= 2
+        )
         if clause1:
-            p1 = _pairing_of(g1, d1)
+            p1 = _pairing_of(g1)
             if p is None or p1 is None:
                 run.check(False, "f-pairing-transition", key, "pairing undefined")
             else:
@@ -603,7 +589,7 @@ def verify_contraction_suite(
                     ok, law = p1 < 1, "p<1 -> p' < 1"
                 run.check(ok, "f-pairing-transition", key, f"{law}: {p} -> {p1}")
         else:
-            p2 = _pairing_of(g2, d2) if g2 is not None else None
+            p2 = _pairing_of(g2) if g2 is not None else None
             if p is None or p2 is None:
                 run.check(False, "g-pairing-transition", key, "pairing undefined")
             else:

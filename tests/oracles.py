@@ -2,8 +2,8 @@
 
 Everything here works on plain list-of-lists integer matrices so that none of
 the package's elimination code is in the loop, except contract_all_rescan,
-which reads and returns DualGraphs.  These are the reference implementations
-the fast code must agree with.
+shape_report_dfs and canonical_form_dfs, which read DualGraphs.  These are
+the reference implementations the fast code must agree with.
 """
 
 from __future__ import annotations
@@ -214,3 +214,78 @@ def contract_all_rescan(g, pick):
         (u, v) for u, nbs in adj.items() for v in nbs if u < v
     )
     return DualGraph(weights, edges, c)
+
+
+def _vertex_components(adj):
+    """Components of a graph given as adjacency lists, by a DFS over every
+    vertex: each one sorted, in the order of their smallest ids."""
+    seen: set[int] = set()
+    comps: list[list[int]] = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for nb in adj[u]:
+                if nb not in seen:
+                    seen.add(nb)
+                    comp.append(nb)
+                    stack.append(nb)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _adjacency(g, drop=None):
+    adj = {v: [] for v in g.weights if v != drop}
+    for u, v in g.edges:
+        if drop not in (u, v):
+            adj[u].append(v)
+            adj[v].append(u)
+    return adj
+
+
+def shape_report_dfs(g):
+    """shape_report read vertex by vertex: components by a DFS over the
+    expanded graph without C, degrees and edge counts from adjacency lists.
+    The reference for every field of the report and for its component
+    order."""
+    from dualgraph.graphs import ComponentShape, ShapeReport
+
+    adj = _adjacency(g)
+    tree = len(g.edges) == len(adj) - 1 and len(_vertex_components(adj)) == 1
+    c_nbrs = () if g.c is None else tuple(sorted(adj[g.c]))
+    rest = _adjacency(g, g.c)
+    comps = []
+    for comp in _vertex_components(rest):
+        cset = set(comp)
+        branch = tuple(v for v in comp if len(rest[v]) >= 3)
+        edges_inside = sum(len(rest[v]) for v in comp) // 2
+        if edges_inside != len(comp) - 1 or len(branch) >= 2:
+            kind = "general"
+        elif len(branch) == 1:
+            kind = "star"
+        else:
+            kind = "chain"
+        contacts = tuple(v for v in c_nbrs if v in cset)
+        comps.append(
+            ComponentShape(tuple(comp), kind, branch, bool(contacts), contacts)
+        )
+    c_deg = None if g.c is None else len(c_nbrs)
+    return ShapeReport(tree, g.c, c_deg, tuple(comps))
+
+
+def canonical_form_dfs(g):
+    """canonical_form with its components found by the vertex DFS; the
+    encoding of each component is the library's."""
+    from dualgraph.graphs import _component_centers, _rooted_code
+
+    adj = g.adjacency
+    return tuple(
+        sorted(
+            _rooted_code(g, _component_centers(adj, comp))
+            for comp in _vertex_components(adj)
+        )
+    )

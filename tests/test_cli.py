@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -235,3 +236,15 @@ def test_module_invocation_round_trip():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"adjoint": "[3]"}
+
+
+def test_an_adjoint_over_the_cap_is_refused_at_once():
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualgraph.cli", "twig", "adjoint", "[10000002]"],
+        capture_output=True,
+        text=True,
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: twig has 10000001 entries, more than 10000000\n"

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualgraph import graphs
-from dualgraph.canonical import compute_dnatural
+from dualgraph.canonical import compute_dnatural, k_type_report
 from dualgraph.dgn import parse_dgn, serialize_dgn
 from dualgraph.errors import (
     DomainError,
@@ -39,12 +39,14 @@ from dualgraph.families import FamilyInstance, build_family
 from dualgraph.twigs import twig_determinant
 
 from oracles import (
+    canonical_form_dfs,
     charpoly_negdef,
     contract_all_rescan,
     dense_adjunction_solve,
     dense_det,
     graph_neg_matrix,
     principal_minor_negdef,
+    shape_report_dfs,
     sylvester_negdef,
 )
 
@@ -570,6 +572,134 @@ def test_shape_report_cycle_component():
     rep = shape_report(g)
     assert rep.components[0].kind == "general"
     assert not rep.is_tree
+
+
+@st.composite
+def _run_graphs(draw):
+    """(weights, edges, c) of graphs made mostly of (-2)-runs: core nodes
+    joined by runs (a spanning forest plus chords, self-loops included),
+    pendant runs, core-free (-2)-chains and (-2)-cycles and isolated
+    (-2)-vertices.  Ids are consecutive along the runs, either way, or
+    scattered; the mark is absent, anywhere, or on a run vertex."""
+    weights: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
+
+    def run(a, b, j):
+        """a, then j new (-2)-vertices, then b; None leaves an end free."""
+        prev = a
+        for _ in range(j):
+            v = len(weights)
+            weights[v] = -2
+            if prev is not None:
+                edges.append((prev, v))
+            prev = v
+        if b is not None and prev is not None:
+            edges.append((prev, b))
+        return prev
+
+    lengths = st.integers(0, 6)
+    nodes = []
+    for _ in range(draw(st.integers(0, 5))):
+        nodes.append(len(weights))
+        weights[nodes[-1]] = draw(st.sampled_from((-2, -2, -3, -1, 0, -5)))
+    # a spanning forest, then chords and self-loops
+    pairs = [
+        (nodes[i], nodes[draw(st.integers(0, i - 1))])
+        for i in range(1, len(nodes))
+        if draw(st.booleans())
+    ]
+    if nodes:
+        pairs += draw(st.lists(st.tuples(*[st.sampled_from(nodes)] * 2), max_size=3))
+    direct = set()
+    for a, b in pairs:
+        j = draw(lengths)
+        if a == b:
+            j = max(j, 2)
+        elif j == 0 and frozenset((a, b)) in direct:
+            j = 1
+        if j == 0:
+            direct.add(frozenset((a, b)))
+        run(a, b, j)
+    for _ in range(draw(st.integers(0, 3))):
+        if nodes:
+            run(draw(st.sampled_from(nodes)), None, draw(st.integers(1, 5)))
+    for _ in range(draw(st.integers(0, 2))):
+        run(None, None, draw(st.integers(1, 5)))  # one vertex: isolated
+    if draw(st.booleans()):
+        first = len(weights)
+        last = run(None, None, draw(st.integers(3, 6)))
+        edges.append((first, last))  # a core-free (-2)-cycle
+    n = len(weights)
+    order = draw(st.sampled_from(("up", "down", "scattered")))
+    if order == "scattered":
+        spread = st.integers(-500, 500)
+        ids = draw(st.lists(spread, min_size=n, max_size=n, unique=True))
+    else:
+        first = draw(st.integers(-20, 20))
+        ids = [first + i if order == "up" else first - i for i in range(n)]
+    weights = {ids[v]: w for v, w in weights.items()}
+    edges = [(ids[u], ids[v]) for u, v in edges]
+    mark = draw(st.sampled_from(("none", "any", "run")))
+    c = None
+    if mark == "any" and weights:
+        c = draw(st.sampled_from(sorted(weights)))
+    elif mark == "run":
+        degree = dict.fromkeys(weights, 0)
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        on_runs = sorted(v for v, w in weights.items() if w == -2 and 0 < degree[v] < 3)
+        if on_runs:
+            c = draw(st.sampled_from(on_runs))
+    return weights, edges, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(_run_graphs())
+def test_shape_report_and_canonical_form_match_the_vertex_dfs(parts):
+    weights, edges, c = parts
+    flat = DualGraph(weights, edges, c)
+    # the same graph holding only its compact form, before anything expands
+    compact = DualGraph._from_parts(dict(weights), [(u, v, ()) for u, v in edges], c)
+    got = shape_report(compact)
+    want = shape_report_dfs(flat)
+    assert got == want
+    assert shape_report(flat) == want
+    if is_forest(flat):
+        assert canonical_form(compact) == canonical_form_dfs(flat)
+        assert canonical_form(flat) == canonical_form_dfs(flat)
+    else:
+        with pytest.raises(DomainError):
+            canonical_form(compact)
+
+
+def test_each_off_c_graph_is_cut_and_solved_once(monkeypatch):
+    calls = []
+    kernel = graphs._bareiss
+
+    def counted(g):
+        calls.append(g)
+        return kernel(g)
+
+    monkeypatch.setattr(graphs, "_bareiss", counted)
+    # a definite cycle off C, and C of weight -1 on it
+    weights = {1: -3, 2: -2, 3: -4, 4: -2, 5: -3, 6: -1}
+    edges = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 1), (2, 6)]
+    g = DualGraph(weights, edges, c=6)
+    off = g.minus_c()
+    assert g.minus_c() is off
+    copy = g.with_mark(6)
+    assert copy.minus_c() is not off and copy.minus_c() == off
+    assert g.with_mark(1).minus_c() != off
+    assert graph_d(off) == dense_det(graph_neg_matrix(off))
+    assert len(calls) == 1
+    # k_type_report solves the same off-C graph, already eliminated
+    k_type_report(g)
+    assert calls == [off]
+    # the shape of a compact graph reads the cut compact form, unexpanded
+    fam = build_family(FamilyInstance(family=3, A=(1000,), n=2, l=10**5))
+    shape_report(fam)
+    assert fam.minus_c()._adj is None and fam.minus_c()._weights is None
 
 
 # -- isomorphism ---------------------------------------------------------------

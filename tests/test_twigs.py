@@ -16,6 +16,7 @@ from dualgraph.twigs import (
     twig_from_inductance,
     twig_parts,
 )
+from dualgraph.verify import enumerate_admissible_twigs
 from oracles import dense_det, tridiagonal_neg_matrix
 
 # Frozen expected values.
@@ -232,7 +233,33 @@ def test_format_twig():
 
 
 def test_long_expansion_runs_to_the_end():
-    # a twig of a million entries is valid; the expansion has no step cap
+    # a twig of a million entries is valid; only the length is capped
     assert twig_from_inductance(Fraction(10**6 + 4, 10**6 + 5)) == (2,) * (
         10**6 + 4
     )
+
+
+def test_adjoint_length_is_known_in_advance():
+    # A* has sum(a - 2) + 1 entries, over the fujita suite's default box
+    for t in enumerate_admissible_twigs(6, 6):
+        assert len(adjoint(t)) == sum(a - 2 for a in t) + 1
+
+
+def test_twig_outputs_are_capped_before_they_are_built():
+    # one entry over the cap fails; adjoint knows its length in advance, so
+    # it fails at once, and a billion entries would too
+    for make in (
+        lambda: adjoint((10**7 + 2,)),
+        lambda: adjoint((3, 10**7 + 1, 2)),
+        lambda: adjoint((10**9,)),
+        lambda: twig_from_inductance(Fraction(2 * 10**7 + 1, 2 * 10**7 + 3)),
+    ):
+        with pytest.raises(DomainError, match="more than 10000000"):
+            make()
+    # the cap is on the length alone: a short twig of a huge determinant
+    assert twig_from_inductance(Fraction(1, 10**30)) == (10**30,)
+    assert adjoint((2,) * 10**6) == (10**6 + 1,)
+    # the admissibility error still comes first
+    with pytest.raises(DomainError, match="admissible"):
+        adjoint((1, 10**9))
+
