@@ -6,15 +6,17 @@ coefficient vector alpha >= 0 with sum_j alpha_j I_ij = 2 + w_i at every
 vertex.  Pairing those coefficients against the neighbors of a C-marked
 (-1)-vertex classifies the instance: below 1, exactly 1, or above 1.
 
-The solve reads the graph's one cached pass from the graphs module.  On a
-forest that is the integer leaf-first pass, whose pivots are full/hole and
-which crosses (-2)-runs in closed form; the coefficients along any run form
-an arithmetic progression, kept as its first entry and step.  A graph with a
-cycle carries the solution scaled by det(-I) from its one fraction-free
-elimination, and only its division by det(-I) is left.  k_type_report and
-the contraction suite read the C-pairing from the progressions at their
-ends, in time independent of the run lengths; compute_dnatural expands them,
-one coefficient per vertex.
+The solve reads the graph's one cached pass from the graphs module and is
+integer throughout: each coefficient is kept times D = det(-I), of its
+component on a forest and of the whole graph otherwise, which makes it an
+integer (Cramer's rule).  On a forest the pass is the integer leaf-first one,
+whose pivots are full/hole and which crosses (-2)-runs in closed form; the
+scaled coefficients along any run form an arithmetic progression, kept as
+its first entry and step, and every division on the way is exact.  A graph
+with a cycle carries D * alpha from its one fraction-free elimination.
+k_type_report and the contraction suite read the C-pairing from the
+progressions at their ends, in time independent of the run lengths;
+compute_dnatural expands them, building one Fraction per vertex.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ class KType(Enum):
     CANONICAL_AMPLE = "canonical-ample"
 
 
-# (ids, first, step): alpha at ids[k] is first + k * step.  A solution is a
-# list of such pieces, one per core vertex and one per run, in the order the
-# expanded coefficients are listed; no vertex is in two pieces.
-_Piece = tuple[Sequence[int], Fraction, Fraction]
+# (ids, first, step, D): alpha at ids[k] is (first + k * step) / D, with D > 0
+# the det(-I) of a component (or of a graph with a cycle), so all are integers.
+# A solution lists such pieces, one per core vertex and one per run, in the
+# order of the expanded coefficients; no vertex is in two pieces.
+_Piece = tuple[Sequence[int], int, int, int]
 
 
 def compute_dnatural(gD: DualGraph) -> DNatural:
@@ -84,15 +87,11 @@ def _solve(gD: DualGraph) -> list[_Piece]:
     if isinstance(elim, _TreePass):
         pieces = _solve_forest(elim)
     else:
-        zero = Fraction(0)
-        pieces = [
-            ((v,), Fraction(x, elim.det), zero)
-            for v, x in zip(gD.vertex_ids, elim.scaled)
-        ]
+        pieces = [((v,), x, 0, elim.det) for v, x in zip(gD.vertex_ids, elim.scaled)]
     # a progression is smallest at one of its ends
     if any(
         first < 0 or (step < 0 and first + (len(ids) - 1) * step < 0)
-        for ids, first, step in pieces
+        for ids, first, step, _ in pieces
     ):
         negative = next(v for v, a in _per_vertex(pieces).items() if a < 0)
         raise InternalDefect(
@@ -104,50 +103,51 @@ def _solve(gD: DualGraph) -> list[_Piece]:
 def _per_vertex(pieces: list[_Piece]) -> dict[int, Fraction]:
     """One coefficient per vertex."""
     alpha: dict[int, Fraction] = {}
-    for ids, first, step in pieces:
+    for ids, first, step, scale in pieces:
         if not step:
-            alpha.update(dict.fromkeys(ids, first))
+            alpha.update(dict.fromkeys(ids, Fraction(first, scale)))
         else:
-            a = first
             for v in ids:
-                alpha[v] = a
-                a += step
+                alpha[v] = Fraction(first, scale)
+                first += step
     return alpha
 
 
 def _solve_forest(tp: _TreePass) -> list[_Piece]:
-    zero = Fraction(0)
-    pieces: list[_Piece] = [(run, zero, zero) for run in tp.pure]
+    pieces: list[_Piece] = [(run, 0, 0, 1) for run in tp.pure]
     full, hole = tp.full, tp.hole
-    # leaf first: each child passes its load to its parent through the run
-    # between them, divided by the pivot at the top of that run
-    loads = {v: Fraction(-tp.weights[v] - 2) for v in tp.order}
+    # leaf first: m[v] is v's load times hole[v]; a child passes its share up
+    # through the run between them, divided by the pivot at the top of that
+    # run, which divides hole[p] exactly: hole[p] is the product of the tops
+    m = {v: (-tp.weights[v] - 2) * hole[v] for v in tp.order}
     for v in reversed(tp.order):
         p, run = tp.parent[v]
         if p is not None:
-            top = _through_run(full[v], hole[v], len(run))[0]
-            loads[p] += loads[v] * hole[v] / top
-    alpha: dict[int, Fraction] = {}
+            m[p] += m[v] * (hole[p] // _through_run(full[v], hole[v], len(run))[0])
+    scaled: dict[int, int] = {}  # D * alpha, D = full at the component's root
     for v in tp.order:  # parents precede children
         p, run = tp.parent[v]
         if p is None:
-            alpha[v] = loads[v] * hole[v] / full[v]
+            d = full[v]
+            scaled[v] = m[v]
         else:
             f, h = _through_run(full[v], hole[v], len(run))
-            ap = alpha[p]
+            ap = scaled[p]
             # run vertices and both core endpoints sit on one arithmetic
             # progression; one solve at the run entry fixes it
-            step = (loads[v] * hole[v] + ap * h) / f - ap
+            step = (m[v] * d + ap * h) // f - ap
             if run:
-                pieces.append((run, ap + step, step))
-            alpha[v] = ap + (len(run) + 1) * step
-        pieces.append(((v,), alpha[v], zero))
+                pieces.append((run, ap + step, step, d))
+            scaled[v] = ap + (len(run) + 1) * step
+        pieces.append(((v,), scaled[v], 0, d))
     for v in tp.order:
+        if tp.parent[v][0] is None:
+            d = full[v]
         for w, run in tp.links[v]:
             if w is None:
-                # pendant runs interpolate from alpha[v] down to a virtual 0
-                step = -alpha[v] / (len(run) + 1)
-                pieces.append((run, alpha[v] + step, step))
+                # pendant runs interpolate from scaled[v] down to a virtual 0
+                step = -scaled[v] // (len(run) + 1)
+                pieces.append((run, scaled[v] + step, step, d))
     return pieces
 
 
@@ -177,9 +177,9 @@ def _c_pairing(g: DualGraph) -> tuple[Fraction, list[_Piece]]:
     pieces = _solve(g.minus_c())
     total = Fraction(0)
     for v in g.neighbors(g.c):
-        for ids, first, step in pieces:
+        for ids, first, step, scale in pieces:
             if v in ids:
-                total += first + ids.index(v) * step
+                total += Fraction(first + ids.index(v) * step, scale)
                 break
         else:
             raise DomainError(f"coefficient vector does not cover vertex {v}")
@@ -196,8 +196,8 @@ def k_type_report(g: DualGraph) -> tuple[KType, Fraction]:
 
     Runs are read as progressions from their ends, never vertex by vertex:
     the neighbors of C are core vertices or run vertices looked up in their
-    run, and a progression is integral iff its first entry and (if it has a
-    second) its step are.
+    run, and a progression is integral iff D divides its first entry and (if
+    it has a second) its step.
     """
     if g.c is None:
         raise OutOfScopeBoundary("graph has no C-marked vertex")
@@ -211,8 +211,8 @@ def k_type_report(g: DualGraph) -> tuple[KType, Fraction]:
         return KType.ANTI_CANONICAL_AMPLE, pairing
     if pairing == 1:
         if not all(
-            first.denominator == 1 and (len(ids) == 1 or step.denominator == 1)
-            for ids, first, step in pieces
+            not first % scale and (len(ids) == 1 or not step % scale)
+            for ids, first, step, scale in pieces
         ):
             fractional = next(
                 v for v, a in _per_vertex(pieces).items() if a.denominator != 1

@@ -4,7 +4,8 @@ Every successful invocation prints exactly one JSON document to stdout.
 Rational values are serialized exactly (`"2/5"`, integers without the
 denominator); graphs travel as canonical DGN strings inside the JSON.
 Errors go to stderr as one line; the exit code distinguishes them:
-0 success, 1 domain error, 2 parse error, 3 verification failures.
+0 success, 1 domain error, 2 parse error, 3 verification failures, 4 a
+library defect (InternalDefect: an invariant of the library itself broke).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .canonical import compute_dnatural, k_type_report
 from .dgn import parse_dgn, serialize_dgn
-from .errors import DomainError, ParseError
+from .errors import DomainError, InternalDefect, ParseError
 from .families import (
     FamilyInstance,
     build_family,
@@ -274,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalDefect as exc:
+        print(f"error: library defect: {exc}", file=sys.stderr)
+        return 4
 
 
 def main_entry() -> None:

@@ -2,8 +2,10 @@
 
 Everything here works on plain list-of-lists integer matrices so that none of
 the package's elimination code is in the loop, except contract_all_rescan,
-shape_report_dfs and canonical_form_dfs, which read DualGraphs.  These are
-the reference implementations the fast code must agree with.
+shape_report_dfs, canonical_form_dfs and the Fraction adjunction solve
+(solve_forest_fraction and its readers), which read DualGraphs and the
+library's integer tree pass.  These are the reference implementations the
+fast code must agree with.
 """
 
 from __future__ import annotations
@@ -289,3 +291,117 @@ def canonical_form_dfs(g):
             for comp in _vertex_components(adj)
         )
     )
+
+
+def solve_forest_fraction(tp):
+    """The forest adjunction solve in Fractions, from the library's integer
+    tree pass (its order, links and pivots full/hole).  Pieces are
+    (ids, first, step): alpha at ids[k] is first + k * step, listed in the
+    library's piece order.  The reference for canonical._solve_forest, which
+    keeps the same progressions scaled to integers."""
+    from dualgraph.graphs import _through_run
+
+    zero = Fraction(0)
+    pieces = [(run, zero, zero) for run in tp.pure]
+    full, hole = tp.full, tp.hole
+    loads = {v: Fraction(-tp.weights[v] - 2) for v in tp.order}
+    for v in reversed(tp.order):
+        p, run = tp.parent[v]
+        if p is not None:
+            top = _through_run(full[v], hole[v], len(run))[0]
+            loads[p] += loads[v] * hole[v] / top
+    alpha = {}
+    for v in tp.order:
+        p, run = tp.parent[v]
+        if p is None:
+            alpha[v] = loads[v] * hole[v] / full[v]
+        else:
+            f, h = _through_run(full[v], hole[v], len(run))
+            ap = alpha[p]
+            step = (loads[v] * hole[v] + ap * h) / f - ap
+            if run:
+                pieces.append((run, ap + step, step))
+            alpha[v] = ap + (len(run) + 1) * step
+        pieces.append(((v,), alpha[v], zero))
+    for v in tp.order:
+        for w, run in tp.links[v]:
+            if w is None:
+                step = -alpha[v] / (len(run) + 1)
+                pieces.append((run, alpha[v] + step, step))
+    return pieces
+
+
+def _solve_fraction(gD):
+    """compute_dnatural's checks, errors and pieces, solved in Fractions."""
+    from dualgraph.errors import InternalDefect, NotContractible, NotMinimalResolutionGraph
+    from dualgraph.graphs import _elimination, _TreePass
+
+    if gD.c is not None:
+        raise NotMinimalResolutionGraph("graph carries a C mark")
+    for v, w in sorted(gD._compact()[0].items()):
+        if w > -2:
+            raise NotMinimalResolutionGraph(f"vertex {v} has weight {w} > -2")
+    if len(gD) == 0:
+        return []
+    elim = _elimination(gD)
+    if not elim.definite:
+        raise NotContractible("intersection form is not negative definite")
+    if isinstance(elim, _TreePass):
+        pieces = solve_forest_fraction(elim)
+    else:
+        pieces = [
+            ((v,), Fraction(x, elim.det), Fraction(0))
+            for v, x in zip(gD.vertex_ids, elim.scaled)
+        ]
+    alpha = _per_vertex_fraction(pieces)
+    negative = [v for v, a in alpha.items() if a < 0]
+    if negative:
+        raise InternalDefect(
+            f"adjunction solve produced negative coefficient at {negative[0]}"
+        )
+    return pieces
+
+
+def _per_vertex_fraction(pieces):
+    alpha = {}
+    for ids, first, step in pieces:
+        for k, v in enumerate(ids):
+            alpha[v] = first + k * step
+    return alpha
+
+
+def dnatural_fraction(gD):
+    """compute_dnatural(gD).coefficients, in the same order, with the same
+    errors, from the Fraction solve."""
+    return _per_vertex_fraction(_solve_fraction(gD))
+
+
+def k_type_report_fraction(g):
+    """k_type_report(g), with the same errors, from the Fraction solve and a
+    per-vertex pairing."""
+    from dualgraph.canonical import KType
+    from dualgraph.errors import DomainError, InternalDefect, OutOfScopeBoundary
+
+    if g.c is None:
+        raise OutOfScopeBoundary("graph has no C-marked vertex")
+    if g.weight(g.c) != -1:
+        raise OutOfScopeBoundary(
+            f"marked vertex weighs {g.weight(g.c)}, classification needs -1"
+        )
+    g._compact()
+    alpha = _per_vertex_fraction(_solve_fraction(g.minus_c()))
+    pairing = Fraction(0)
+    for v in g.neighbors(g.c):
+        if v not in alpha:
+            raise DomainError(f"coefficient vector does not cover vertex {v}")
+        pairing += alpha[v]
+    if pairing < 1:
+        return KType.ANTI_CANONICAL_AMPLE, pairing
+    if pairing == 1:
+        fractional = [v for v, a in alpha.items() if a.denominator != 1]
+        if fractional:
+            raise InternalDefect(
+                f"pairing is 1 but coefficient at {fractional[0]} is not an integer"
+            )
+        return KType.NUMERICALLY_TRIVIAL, pairing
+    return KType.CANONICAL_AMPLE, pairing

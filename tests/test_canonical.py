@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualgraph import canonical
 from dualgraph.canonical import (
@@ -17,11 +19,13 @@ from dualgraph.canonical import (
 )
 from dualgraph.errors import (
     DomainError,
+    DualGraphError,
     InternalDefect,
     NotContractible,
     NotMinimalResolutionGraph,
     OutOfScopeBoundary,
 )
+from dualgraph.families import FamilyInstance, build_family, trivial_threshold
 from dualgraph.graphs import (
     DualGraph,
     chain_graph,
@@ -30,7 +34,13 @@ from dualgraph.graphs import (
 )
 from dualgraph.twigs import adjoint, twig_determinant, twig_parts
 
-from oracles import dense_adjunction_solve, graph_neg_matrix, sylvester_negdef
+from oracles import (
+    dense_adjunction_solve,
+    dnatural_fraction,
+    graph_neg_matrix,
+    k_type_report_fraction,
+    sylvester_negdef,
+)
 
 
 def alpha_of(g):
@@ -178,6 +188,115 @@ def test_uniqueness_under_relabeling():
     assert ha == {relabel[v]: a for v, a in ga.items()}
 
 
+# -- agreement with the Fraction solve ----------------------------------------
+
+
+@st.composite
+def _armed_forests(draw):
+    """(weights, edges) of 1-3 trees, each a center with arms of (-2)-runs
+    (up to 10^4 long) capped by heavier vertices, some capped again by a
+    second run; an arm capped by -2 ends in a pendant run, and an all-(-2)
+    tree is a core-free chain or a definite or indefinite (-2)-star."""
+    weights: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
+    runs = st.one_of(st.integers(0, 8), st.integers(0, 10**4))
+    for _ in range(draw(st.sampled_from((1, 2, 2, 3)))):
+        center = len(weights)
+        weights[center] = draw(st.sampled_from((-2, -3, -4, -6)))
+        for _ in range(draw(st.integers(1, 4))):
+            prev = center
+            for _ in range(draw(st.integers(1, 2))):
+                for _ in range(draw(runs)):
+                    weights[len(weights)] = -2
+                    edges.append((prev, len(weights) - 1))
+                    prev = len(weights) - 1
+                weights[len(weights)] = draw(st.sampled_from((-2, -3, -5)))
+                edges.append((prev, len(weights) - 1))
+                prev = len(weights) - 1
+    return weights, edges
+
+
+@st.composite
+def _cycle_graphs(draw):
+    """(weights, edges) of a connected graph with chords, weights -5..-2, so
+    definite and indefinite -I both occur."""
+    n = draw(st.integers(3, 7))
+    ws = draw(st.lists(st.integers(-5, -2), min_size=n, max_size=n))
+    tree = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    keys = {frozenset(e) for e in tree}
+    others = [p for p in itertools.combinations(range(n), 2) if frozenset(p) not in keys]
+    chords = draw(st.lists(st.sampled_from(others), min_size=1, max_size=3, unique=True))
+    return dict(enumerate(ws)), tree + chords
+
+
+@st.composite
+def _marked(draw, parts):
+    """A graph from parts with ids shuffled and C of weight -1 (now and then
+    -2) hooked to one or two vertices, as vertex-level data or as a compact
+    form only."""
+    weights, edges = draw(parts)
+    ids = draw(st.permutations(range(len(weights))))
+    weights = {ids[v]: w for v, w in weights.items()}
+    edges = [(ids[u], ids[v]) for u, v in edges]
+    c = len(weights)
+    weights[c] = draw(st.sampled_from((-1, -1, -1, -2)))
+    hooks = draw(st.lists(st.sampled_from(sorted(weights)[:-1]), min_size=1, max_size=2, unique=True))
+    edges += [(v, c) for v in hooks]
+    if draw(st.booleans()):
+        return DualGraph(weights, edges, c)
+    return DualGraph._from_parts(weights, [(u, v, ()) for u, v in edges], c)
+
+
+@st.composite
+def _families(draw):
+    """Family (3)-(5) instances with runs up to 10^4, at the trivial threshold
+    and past the contractibility bound too, as built (compact) or as
+    vertex-level data."""
+    family = draw(st.integers(3, 5))
+    A = draw(st.sampled_from(((2,), (3,), (2, 2), (3, 2), (2, 3), (5,), (4, 2), (1000,))))
+    n = draw(st.integers(2, 5))
+    near = trivial_threshold(A, n) + draw(st.integers(-2, 1))
+    spec = FamilyInstance(
+        family=family,
+        A=A,
+        n=n,
+        l=draw(st.one_of(st.just(max(near, 0)), st.integers(0, 40), st.integers(0, 10**4))),
+        b=None if family == 3 else draw(st.sampled_from(((3,), (4,), (3, 2)))),
+        m=draw(st.integers(0, 3)) if family == 5 else None,
+    )
+    g = build_family(spec, strict=False)
+    if draw(st.booleans()):
+        return g
+    return DualGraph(g.weights, g.edges, g.c)
+
+
+def _outcome(f, g):
+    try:
+        return f(g)
+    except DualGraphError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_marked(_armed_forests()), _marked(_cycle_graphs()), _families()))
+# two components, det(-I) 3 and 7, the second with a pendant run
+@example(DualGraph({0: -3, 1: -3, 2: -2, 3: -2, 4: -1}, [(1, 2), (2, 3), (0, 4)], 4))
+def test_integer_solve_matches_the_fraction_solve(g):
+    # values and their order, the trichotomy and every error are the
+    # Fraction solve's, on forests, graphs with cycles and long runs alike
+    off = g.minus_c()
+
+    def items(h):
+        return list(compute_dnatural(h).coefficients.items())
+
+    def want_items(h):
+        return list(dnatural_fraction(h).items())
+
+    assert _outcome(items, off) == _outcome(want_items, off)
+    assert _outcome(items, g) == _outcome(want_items, g)
+    assert _outcome(k_type_report, g) == _outcome(k_type_report_fraction, g)
+
+
 # -- the alpha growth lemmas ---------------------------------------------------
 
 
@@ -259,23 +378,26 @@ def test_defects_name_the_first_bad_vertex(monkeypatch):
     solve = canonical._solve_forest
     (c_adj,) = g.neighbors(g.c)
 
-    def bend(shift):
+    def bend(change):
         def broken(tp):
             pieces = solve(tp)
-            for i, (ids, first, step) in enumerate(pieces):
-                if len(ids) > 1 and c_adj not in ids:
-                    pieces[i] = (ids, first, step + shift)
+            for i, piece in enumerate(pieces):
+                if len(piece[0]) > 1 and c_adj not in piece[0]:
+                    pieces[i] = change(*piece)
                     return pieces
             raise AssertionError("no run away from C")
 
         return broken
 
-    monkeypatch.setattr(canonical, "_solve_forest", bend(Fraction(1, 2)))
+    # pieces are (ids, D * first, D * step, D): add 1/(2D) to the step
+    half = bend(lambda ids, first, step, d: (ids, 2 * first, 2 * step + 1, 2 * d))
+    monkeypatch.setattr(canonical, "_solve_forest", half)
     pieces = canonical._solve(g.minus_c())
-    bent = next(ids for ids, _, step in pieces if step.denominator != 1)
+    bent = next(ids for ids, _, step, d in pieces if step % d)
     with pytest.raises(InternalDefect, match=f"coefficient at {bent[1]} is"):
         k_type_report(g)
-    monkeypatch.setattr(canonical, "_solve_forest", bend(Fraction(-100)))
+    down = bend(lambda ids, first, step, d: (ids, first, step - 100 * d, d))
+    monkeypatch.setattr(canonical, "_solve_forest", down)
     with pytest.raises(InternalDefect, match=f"negative coefficient at {bent[1]}$"):
         compute_dnatural(g.minus_c())
 

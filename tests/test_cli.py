@@ -9,7 +9,9 @@ import time
 import pytest
 
 import dualgraph.cli as cli
+from dualgraph import canonical
 from dualgraph.dgn import serialize_dgn
+from dualgraph.errors import InternalDefect
 from dualgraph.families import FamilyInstance, build_family
 
 
@@ -93,6 +95,20 @@ def test_graph_ktype_trivial_instance(capsys, tmp_path):
     path.write_text(family_dgn(family=3, A=(2,), n=3, l=7))
     got = doc_of(capsys, "graph", "ktype", str(path))
     assert got == {"ktype": "trivial", "pairing": "1"}
+
+
+def test_a_library_defect_is_exit_4(capsys, tmp_path, monkeypatch):
+    def broken(tp):
+        raise InternalDefect("adjunction solve produced negative coefficient at 2")
+
+    monkeypatch.setattr(canonical, "_solve_forest", broken)
+    path = tmp_path / "g.dgn"
+    path.write_text(family_dgn(family=3, A=(2,), n=3, l=7))
+    code, out, err = run_cli(capsys, "graph", "ktype", str(path))
+    assert code == 4 and out == ""
+    assert err == (
+        "error: library defect: adjunction solve produced negative coefficient at 2\n"
+    )
 
 
 def test_graph_contract_keeps_determinant(capsys, tmp_path):
