@@ -3,7 +3,7 @@
 DomainError subclasses signal that an operation was called outside its
 mathematical domain (CLI exit code 1).  ParseError signals malformed textual
 input (exit code 2).  InternalDefect signals a violated invariant that should
-be impossible by theory; it is never caught by the CLI.
+be impossible by theory; the CLI reports it as a library defect (exit code 4).
 """
 
 

@@ -459,12 +459,7 @@ def _parse_family_2(g):
     """Only asked of graphs without branch vertices."""
     if g.weight(g.c) != -1 or g.degree(g.c) != 2:
         return None, "unrecognized shape"
-    sides = []
-    for arm, branch in _arms(g, g.c):
-        if branch is not None:
-            return None, "unrecognized shape"
-        sides.append(arm)
-    result, reason = _match_side_arms(tuple(sides))
+    result, reason = _match_side_arms(tuple(arm for arm, _ in _arms(g, g.c)))
     if result is None:
         return None, reason
     a, n = result
@@ -509,32 +504,7 @@ def _parse_one_branch(g, center, family):
         if l > bound:
             return None, f"l out of range: 0 <= l <= {bound}, got {l}"
         return FamilyInstance(family=3, A=a, n=n, l=l), None
-    if family == 4:
-        run, b_arm = _lead_run(before)
-        if not b_arm:
-            return None, "unrecognized shape"
-        b = _twig_of(b_arm)
-        if b is None or b[0] < 3:
-            return None, "b_1 >= 3 violated"
-        ustar = _twig_of(after)
-        if ustar is None or ustar != _u_bstar(b):
-            return None, "adjoint mismatch"
-        bound = l_bound(a, n)
-        if run > bound:
-            return None, f"l out of range: 0 <= l <= {bound}, got {run}"
-        return FamilyInstance(family=4, A=a, n=n, l=run, b=b), None
-    # family (6): center carries b_1
-    b1 = -g.weight(center)
-    if b1 < 3:
-        return None, "b_1 >= 3 violated"
-    rest = _twig_of(before)
-    if rest is None:
-        return None, "b must be a nonempty admissible twig"
-    b = (b1,) + rest
-    ustar = _twig_of(after)
-    if ustar is None or ustar != _u_bstar(b):
-        return None, "adjoint mismatch"
-    return FamilyInstance(family=6, A=a, n=n, b=b), None
+    return _with_b(g, family, a, n, center, before, after)
 
 
 def _parse_two_branch(g, branches, family):
@@ -594,13 +564,19 @@ def _parse_two_branch(g, branches, family):
     if result is None:
         return None, reason
     a, n = result
-    if family == 5:
-        if g.weight(center) != -2:
+    return _with_b(g, family, a, n, center, spine, ustar_arm, m)
+
+
+def _with_b(g, family, a, n, center, spine, ustar_arm, m=None):
+    """Families (4)-(7) once (A, n) is read: b from the spine, read from the
+    center outward (a (-2) center takes the lead run l first, else the
+    center carries b_1), then uB* against ustar_arm, then the run bound."""
+    l = None
+    if g.weight(center) == -2:
+        l, spine = _lead_run(spine)
+        if not spine:
             return None, "unrecognized shape"
-        l, b_arm = _lead_run(spine)
-        if not b_arm:
-            return None, "unrecognized shape"
-        b = _twig_of(b_arm)
+        b = _twig_of(spine)
         if b is None or b[0] < 3:
             return None, "b_1 >= 3 violated"
     else:
@@ -611,16 +587,14 @@ def _parse_two_branch(g, branches, family):
         if rest is None:
             return None, "b must be a nonempty admissible twig"
         b = (b1,) + rest
-        l = None
     ustar = _twig_of(ustar_arm)
     if ustar is None or ustar != _u_bstar(b):
         return None, "adjoint mismatch"
-    if family == 5:
+    if l is not None:
         bound = l_bound(a, n)
         if l > bound:
             return None, f"l out of range: 0 <= l <= {bound}, got {l}"
-        return FamilyInstance(family=5, A=a, n=n, l=l, b=b, m=m), None
-    return FamilyInstance(family=7, A=a, n=n, b=b, m=m), None
+    return FamilyInstance(family=family, A=a, n=n, l=l, b=b, m=m), None
 
 
 def classify_family_all(g: DualGraph) -> tuple[list[FamilyInstance], str]:
@@ -666,10 +640,8 @@ def classify_family_all(g: DualGraph) -> tuple[list[FamilyInstance], str]:
                 reasons.append("unrecognized shape")
     else:
         reasons.append("unrecognized shape")
-    specific = [r for r in reasons if r != "unrecognized shape"]
-    reason = (
-        "" if matches else (specific[0] if specific else
-                            (reasons[0] if reasons else "unrecognized shape"))
+    reason = "" if matches else next(
+        (r for r in reasons if r != "unrecognized shape"), "unrecognized shape"
     )
     matches.sort(key=lambda s: s.family)
     return matches, reason

@@ -23,8 +23,11 @@ compresses on first use.
 
 One DFS over the core, once per graph, finds the components (_core_dfs),
 each as its core vertices, its runs and its count of core-to-core links; the
-forest pass, shape_report and canonical_form all read it.  minus_c() cuts
-the C-vertex once and keeps the cut graph, with whatever it has computed.
+forest pass, shape_report and canonical_form all read it.  canonical_form
+roots each component at a center of its core tree and labels each link by
+its run length, so isomorphism is decided in time independent of the run
+lengths.  minus_c() cuts the C-vertex once and keeps the cut graph, with
+whatever it has computed.
 
 Every determinant, definiteness and adjunction question reads one pass per
 graph, computed on first use and cached (with_mark carries it over).  On a
@@ -577,9 +580,6 @@ class _Component:
     runs: list[Sequence[int]]  # the runs of its links, each once
     links: int  # core-to-core links, self-loops included
 
-    def vertices(self) -> list[int]:
-        return sorted(chain(self.core, *self.runs))
-
 
 def _core_components(g: DualGraph) -> list[_Component]:
     """The components of g: those with core in the order of their roots,
@@ -791,13 +791,19 @@ def blow_down(g: DualGraph, v: int) -> DualGraph:
     return DualGraph(weights, edges, None if g.c == v else g.c)
 
 
+def _fresh_id(g: DualGraph, new_id: int | None) -> int:
+    """new_id, or one past the largest id, checked to be unused."""
+    w = new_id if new_id is not None else max(g.vertex_ids, default=0) + 1
+    if w in g:
+        raise ValueError(f"vertex id {w} already in use")
+    return w
+
+
 def blow_up_edge(g: DualGraph, u: int, v: int, new_id: int | None = None) -> DualGraph:
     """Insert a fresh (-1)-vertex on the edge (u, v), decrementing u and v."""
     if not g.has_edge(u, v):
         raise ValueError(f"no edge ({u},{v})")
-    w = new_id if new_id is not None else max(g.vertex_ids) + 1
-    if w in g:
-        raise ValueError(f"vertex id {w} already in use")
+    w = _fresh_id(g, new_id)
     key = (min(u, v), max(u, v))
     weights = {x: wt - 1 if x in (u, v) else wt for x, wt in g.weights.items()}
     weights[w] = -1
@@ -809,9 +815,7 @@ def blow_up_at(g: DualGraph, u: int, new_id: int | None = None) -> DualGraph:
     """Attach a fresh (-1)-leaf at u, decrementing u's weight."""
     if u not in g:
         raise ValueError(f"no vertex {u}")
-    w = new_id if new_id is not None else max(g.vertex_ids) + 1
-    if w in g:
-        raise ValueError(f"vertex id {w} already in use")
+    w = _fresh_id(g, new_id)
     weights = {x: wt - 1 if x == u else wt for x, wt in g.weights.items()}
     weights[w] = -1
     edges = list(g.edges) + [(u, w)]
@@ -820,9 +824,7 @@ def blow_up_at(g: DualGraph, u: int, new_id: int | None = None) -> DualGraph:
 
 def blow_up_free(g: DualGraph, new_id: int | None = None) -> DualGraph:
     """Add an isolated (-1)-vertex (inverse of blowing down an isolated one)."""
-    w = new_id if new_id is not None else (max(g.vertex_ids) + 1 if len(g) else 1)
-    if w in g:
-        raise ValueError(f"vertex id {w} already in use")
+    w = _fresh_id(g, new_id)
     weights = g.weights
     weights[w] = -1
     return DualGraph(weights, g.edges, g.c)
@@ -930,7 +932,7 @@ def shape_report(g: DualGraph) -> ShapeReport:
     inc = rest.core_links()
     comps = []
     for comp in _core_components(rest):
-        vertices = tuple(comp.vertices())
+        vertices = tuple(sorted(chain(comp.core, *comp.runs)))
         branch = tuple(sorted(v for v in comp.core if len(inc[v]) >= 3))
         # the core-to-core links of a tree join its core vertices in a tree
         if comp.links >= max(len(comp.core), 1) or len(branch) >= 2:
@@ -948,7 +950,7 @@ def shape_report(g: DualGraph) -> ShapeReport:
 
 
 def _component_centers(adj: dict[int, list[int]], comp: list[int]) -> list[int]:
-    """The 1 or 2 tree centers, by iterative leaf peeling."""
+    """The 1 or 2 centers of the tree comp, by iterative leaf peeling."""
     inner = {v: len(adj[v]) for v in comp}
     current = [v for v in comp if inner[v] <= 1]
     remaining = len(comp)
@@ -964,43 +966,47 @@ def _component_centers(adj: dict[int, list[int]], comp: list[int]) -> list[int]:
     return sorted(current)
 
 
-def _rooted_code(g: DualGraph, roots: list[int]) -> tuple:
-    """The tree hanging from roots (its 1 or 2 centers), encoded level by
-    level (AHU), deepest first.
+def _rooted_code(g: DualGraph, root: int) -> tuple:
+    """The core tree of a forest hanging from the core vertex root, encoded
+    level by level (AHU), deepest first.
 
-    A level is the sorted tuple of its vertices' labels (weight, is C,
-    sorted ranks of the children); a rank is the index of a label among the
-    distinct labels of its level.  Two trees have equal codes iff they are
-    isomorphic (centers go to centers), and the tuples nest to a fixed depth
+    A level is the sorted tuple of its core vertices' labels (weight, is C,
+    sorted entries), with one entry per link away from the root: (run
+    length, index of C on the run counted from this end or -1, rank of the
+    child's label or -1 for a pendant run).  A rank is the index of a label
+    among the distinct labels of its level.  Two rooted trees have equal
+    codes iff they are isomorphic, and the tuples nest to a fixed depth
     however deep the tree is.
     """
-    adj = g.adjacency
-    weights = g._expand()[0]
-    parent: dict[int, int | None] = dict.fromkeys(roots)
-    levels = [roots]
-    while True:
-        nxt = []
-        for u in levels[-1]:
-            for nb in adj[u]:
-                if nb not in parent:
-                    parent[nb] = u
-                    nxt.append(nb)
-        if not nxt:
-            break
-        levels.append(nxt)
-    kids: dict[int | None, list[int]] = {}
+    core = g._compact()[0]
+    inc = g.core_links()
+    c = None if g.c in core else g.c  # C on a run, or None
+    # a level holds (v, the core vertex v is reached from); the root counts
+    # as reached from itself, so all of its links lead away
+    levels = [[(root, root)]]
+    while levels[-1]:
+        levels.append([
+            (w, u) for u, up in levels[-1] for w, _ in inc[u]
+            if w is not None and w != up
+        ])
+    rank: dict[int | None, int] = {None: -1}  # a pendant run has no child
     code = []
-    for level in reversed(levels):
-        labels = [
-            (weights[v], g.c == v, tuple(sorted(kids.pop(v, ()))))
-            for v in level
-        ]
+    for level in reversed(levels[:-1]):
+        labels = []
+        for v, up in level:
+            entries = [
+                (len(ids), ids.index(c) if c is not None and c in ids else -1, rank[w])
+                for w, ids in inc[v]
+                if w != up
+            ]
+            entries.sort()
+            labels.append((core[v], v == g.c, tuple(entries)))
         ordered = sorted(labels)
-        rank: dict[tuple, int] = {}
+        distinct: dict[tuple, int] = {}
         for lab in ordered:
-            rank.setdefault(lab, len(rank))
-        for v, lab in zip(level, labels):
-            kids.setdefault(parent[v], []).append(rank[lab])
+            distinct.setdefault(lab, len(distinct))
+        for (v, _), lab in zip(level, labels):
+            rank[v] = distinct[lab]
         code.append(tuple(ordered))
     return tuple(code)
 
@@ -1010,14 +1016,29 @@ def canonical_form(g: DualGraph) -> tuple:
 
     Two forests are isomorphic (respecting weights and the C mark) iff their
     canonical forms are equal.  Raises DomainError on graphs with cycles.
+    Any isomorphism maps core to core, so a component with core is rooted
+    at a center of its core tree.  Of two centers it takes the one with the
+    smaller (weight, is C, link count), and on a tie the smaller code.  A
+    core-free (-2)-chain is its length and the distance from C to its nearer
+    end (-1 without C).  The cost is independent of the run lengths.
     """
     if not is_forest(g):
         raise DomainError("canonical form is only defined for forests")
-    codes = [
-        _rooted_code(g, _component_centers(g.adjacency, comp.vertices()))
-        for comp in _core_components(g)
-    ]
-    return tuple(sorted(codes))
+    core = g._compact()[0]
+    inc = g.core_links()
+    adj = {v: [w for w, _ in ends if w is not None] for v, ends in inc.items()}
+    trees, chains = [], []
+    for comp in _core_components(g):
+        if comp.core:
+            centers = _component_centers(adj, comp.core)
+            key = {r: (core[r], r == g.c, len(inc[r])) for r in centers}
+            least = min(key.values())
+            trees.append(min(_rooted_code(g, r) for r in centers if key[r] == least))
+        else:
+            (ids,) = comp.runs
+            k = ids.index(g.c) if g.c is not None and g.c in ids else -1
+            chains.append((len(ids), min(k, len(ids) - 1 - k) if k >= 0 else -1))
+    return tuple(sorted(trees)), tuple(sorted(chains))
 
 
 def isomorphic(g1: DualGraph, g2: DualGraph) -> bool:

@@ -542,10 +542,9 @@ def verify_contraction_suite(
         # the two ends next to C: v_deep carries weight <= -3, v_two is the
         # (-2) side; the equivalences below only apply when the relevant
         # side continues past its end vertex
-        adj = g.adjacency
-        v_two, v_deep = sorted(adj[g.c], key=lambda v: -g.weight(v))
-        deep_alone = len(adj[v_deep]) == 1
-        two_alone = len(adj[v_two]) == 1
+        v_two, v_deep = sorted(g.neighbors(g.c), key=lambda v: -g.weight(v))
+        deep_alone = g.degree(v_deep) == 1
+        two_alone = g.degree(v_two) == 1
         if not deep_alone and not two_alone:
             run.check(
                 is_negative_definite(g1.minus_c()) == neg,

@@ -279,15 +279,66 @@ def shape_report_dfs(g):
     return ShapeReport(tree, g.c, c_deg, tuple(comps))
 
 
-def canonical_form_dfs(g):
-    """canonical_form with its components found by the vertex DFS; the
-    encoding of each component is the library's."""
-    from dualgraph.graphs import _component_centers, _rooted_code
+def _vertex_centers(adj, comp):
+    """The 1 or 2 centers of the tree comp, by peeling every vertex."""
+    inner = {v: len(adj[v]) for v in comp}
+    current = [v for v in comp if inner[v] <= 1]
+    remaining = len(comp)
+    while remaining > 2:
+        remaining -= len(current)
+        nxt = []
+        for v in current:
+            for u in adj[v]:
+                inner[u] -= 1
+                if inner[u] == 1:
+                    nxt.append(u)
+        current = nxt
+    return sorted(current)
 
-    adj = g.adjacency
+
+def _vertex_rooted_code(g, adj, roots):
+    """The tree hanging from roots (its 1 or 2 centers, both on the first
+    level), encoded level by level (AHU) over every vertex, deepest first.
+    A label is (weight, is C, sorted ranks of the children)."""
+    weights = g.weights
+    parent = dict.fromkeys(roots)
+    levels = [roots]
+    while True:
+        nxt = []
+        for u in levels[-1]:
+            for nb in adj[u]:
+                if nb not in parent:
+                    parent[nb] = u
+                    nxt.append(nb)
+        if not nxt:
+            break
+        levels.append(nxt)
+    kids = {}
+    code = []
+    for level in reversed(levels):
+        labels = [
+            (weights[v], g.c == v, tuple(sorted(kids.pop(v, ()))))
+            for v in level
+        ]
+        ordered = sorted(labels)
+        rank = {}
+        for lab in ordered:
+            rank.setdefault(lab, len(rank))
+        for v, lab in zip(level, labels):
+            kids.setdefault(parent[v], []).append(rank[lab])
+        code.append(tuple(ordered))
+    return tuple(code)
+
+
+def canonical_form_dfs(g):
+    """A canonical form of a forest read vertex by vertex: components by the
+    vertex DFS, each rooted at its 1 or 2 vertex-level centers.  Its values
+    differ from canonical_form's; the isomorphism relation they decide is
+    the same."""
+    adj = _adjacency(g)
     return tuple(
         sorted(
-            _rooted_code(g, _component_centers(adj, comp))
+            _vertex_rooted_code(g, adj, _vertex_centers(adj, comp))
             for comp in _vertex_components(adj)
         )
     )

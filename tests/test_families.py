@@ -466,6 +466,36 @@ class TestClassifier:
         out = classify_family(DualGraph(ws, g.edges, g.c))
         assert out == NotInList("adjoint mismatch")
 
+    # ids follow the pinned layouts: center 1, then the arms in build order
+    @pytest.mark.parametrize(
+        "s, edit, reason",
+        [
+            # (4): run 3, b = (4, 5), C 6; b_1 lifted to -1
+            (spec(4, A=(2,), n=2, l=1, b=(3, 2)), {4: -1}, "b_1 >= 3 violated"),
+            # (6): center carries b_1, b_2 is 4, C 5; b_2 lifted to -1
+            (
+                spec(6, A=(3,), n=2, b=(4, 2)),
+                {4: -1},
+                "b must be a nonempty admissible twig",
+            ),
+            # (5): run 3, b_1 4, w 5, uB* = (6,), C 7; uB* bent
+            (spec(5, A=(2,), n=2, l=1, b=(3,), m=1), {6: -3}, "adjoint mismatch"),
+            (
+                spec(5, A=(2,), n=2, l=5, b=(3,), m=1),
+                {},
+                "l out of range: 0 <= l <= 4, got 5",
+            ),
+            # (7): w 3, uB* 4, C 5, tail 6; w asks for m = 2
+            (spec(7, A=(2,), n=2, b=(3,), m=1), {3: -4}, "m tail mismatch"),
+            (spec(7, A=(2,), n=2, b=(3,), m=1), {5: 0}, "C weight not -1"),
+        ],
+    )
+    def test_each_failing_predicate_is_named(self, s, edit, reason):
+        g = build_family(s, strict=False)
+        ws = g.weights
+        ws.update(edit)
+        assert classify_family(DualGraph(ws, g.edges, g.c)) == NotInList(reason)
+
     def test_over_bound_run_is_out_of_range(self):
         s = spec(3, A=(2,), n=2, l=5)
         g = build_family(s, strict=False)

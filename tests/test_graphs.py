@@ -390,6 +390,15 @@ def test_blow_up_round_trips():
     assert blow_down(up3, max(up3.vertex_ids)) == g
     # blowing up rewrites the lattice as (old) + (-1), so d is unchanged
     assert graph_d(up) == graph_d(up2) == graph_d(up3) == graph_d(g)
+    assert blow_up_free(DualGraph({}, [])).vertex_ids == (1,)
+    assert blow_up_at(g, 2, new_id=-7).weight(-7) == -1
+    for taken in (
+        lambda: blow_up_edge(g, 1, 2, new_id=3),
+        lambda: blow_up_at(g, 2, new_id=1),
+        lambda: blow_up_free(g, new_id=2),
+    ):
+        with pytest.raises(ValueError, match="already in use"):
+            taken()
 
 
 @given(st.lists(st.integers(-4, -1), min_size=2, max_size=6))
@@ -654,9 +663,57 @@ def _run_graphs(draw):
     return weights, edges, c
 
 
+def _relabeled(weights, edges, c, seed):
+    """The graph with its ids sent to scattered fresh ones."""
+    ids = sorted(weights)
+    new = dict(zip(ids, random.Random(seed).sample(range(-1000, 1000), len(ids))))
+    return DualGraph(
+        {new[v]: w for v, w in weights.items()},
+        [(new[u], new[v]) for u, v in edges],
+        None if c is None else new[c],
+    )
+
+
+def _perturbed(weights, edges, c, edit):
+    """C moved to a neighbour when move is set and C has one, else one
+    weight changed by delta; pick chooses the neighbour or the vertex."""
+    move, pick, delta = edit
+    nbrs = sorted({u for e in edges if c in e for u in e} - {c})
+    if move and c is not None and nbrs:
+        return DualGraph(weights, edges, nbrs[pick % len(nbrs)])
+    weights = dict(weights)
+    weights[sorted(weights)[pick % len(weights)]] += delta
+    return DualGraph(weights, edges, c)
+
+
 @settings(max_examples=400, deadline=None)
-@given(_run_graphs())
-def test_shape_report_and_canonical_form_match_the_vertex_dfs(parts):
+@given(
+    _run_graphs(),
+    st.integers(0, 2**16),
+    st.tuples(st.booleans(), st.integers(0, 99), st.sampled_from((-1, 1))),
+)
+# pendant runs at the root center: C moves along one of them
+@example(
+    ({0: -3, 1: -2, 2: -2, 3: -2, 4: -2}, [(0, 1), (1, 2), (0, 3), (3, 4)], 2),
+    0,
+    (True, 0, 1),
+)
+# C on a pendant run at a root, one of two core centers
+@example(
+    ({10: -4, 11: -3, 1: -2, 2: -2}, [(10, 11), (10, 1), (1, 2)], 1), 0, (True, 0, 1)
+)
+# two core centers with C off the middle of the run between them; the seed
+# swaps the order of their ids
+@example(
+    ({0: -3, 5: -2, 6: -2, 7: -2, 9: -3}, [(0, 5), (5, 6), (6, 7), (7, 9)], 5),
+    0,
+    (True, 1, 1),
+)
+# an off-center C on a core-free chain, moved to its mirror position
+@example(({0: -2, 1: -2, 2: -2, 3: -2}, [(0, 1), (1, 2), (2, 3)], 1), 0, (True, 1, 1))
+# an isolated (-2)-vertex carrying C, beside a core-free chain
+@example(({3: -2, 4: -2, 5: -2, 9: -2}, [(3, 4), (4, 5)], 9), 0, (True, 3, -1))
+def test_shape_report_and_canonical_form_match_the_vertex_dfs(parts, seed, edit):
     weights, edges, c = parts
     flat = DualGraph(weights, edges, c)
     # the same graph holding only its compact form, before anything expands
@@ -665,12 +722,20 @@ def test_shape_report_and_canonical_form_match_the_vertex_dfs(parts):
     want = shape_report_dfs(flat)
     assert got == want
     assert shape_report(flat) == want
-    if is_forest(flat):
-        assert canonical_form(compact) == canonical_form_dfs(flat)
-        assert canonical_form(flat) == canonical_form_dfs(flat)
-    else:
+    if not is_forest(flat):
         with pytest.raises(DomainError):
             canonical_form(compact)
+        return
+    assert canonical_form(compact) == canonical_form(flat)
+    # the values differ from the oracle's; the relation they decide must not
+    relabeled = _relabeled(weights, edges, c, seed)
+    assert canonical_form_dfs(relabeled) == canonical_form_dfs(flat)
+    assert isomorphic(compact, relabeled)
+    if weights:
+        other = _perturbed(weights, edges, c, edit)
+        same = canonical_form_dfs(other) == canonical_form_dfs(flat)
+        assert isomorphic(compact, other) == same
+        assert isomorphic(relabeled, other) == same
 
 
 def test_each_off_c_graph_is_cut_and_solved_once(monkeypatch):
@@ -711,6 +776,18 @@ def test_isomorphic_relabeled_star():
         {10: -5, 20: -2, 30: -4, 40: -3}, [(20, 10), (20, 30), (20, 40)]
     )
     assert isomorphic(g1, g2)
+    # the same labels level by level, with the leaves on swapped arms
+    arms = [(0, 1), (0, 2), (1, 3), (2, 4)]
+    assert not isomorphic(
+        DualGraph({0: -7, 1: -3, 2: -4, 3: -5, 4: -6}, arms),
+        DualGraph({0: -7, 1: -3, 2: -4, 3: -6, 4: -5}, arms),
+    )
+    # a pendant run and a run to a core leaf, on swapped arms
+    weights = {0: -7, 1: -3, 2: -4, 3: -5, 5: -2, 6: -2}
+    assert not isomorphic(
+        DualGraph(weights, [(0, 1), (0, 2), (1, 5), (5, 3), (2, 6)]),
+        DualGraph(weights, [(0, 1), (0, 2), (2, 5), (5, 3), (1, 6)]),
+    )
 
 
 def test_isomorphism_respects_weights_and_mark():
@@ -721,6 +798,10 @@ def test_isomorphism_respects_weights_and_mark():
     assert not isomorphic(
         chain_graph([-2, -3], c_index=0), chain_graph([-2, -3], c_index=1)
     )
+    assert not isomorphic(
+        chain_graph([-3, -4], c_index=0), chain_graph([-3, -4], c_index=1)
+    )
+    assert not isomorphic(chain_graph([-2, -2]), chain_graph([-2, -2, -2]))
     assert isomorphic(
         chain_graph([-2, -3, -2], c_index=1),
         chain_graph([-2, -3, -2], c_index=1, first_id=50),
@@ -756,6 +837,29 @@ def test_isomorphic_on_a_deep_tree():
     assert weights[top // 2] == -2
     weights[top // 2] = -3
     assert not isomorphic(g, DualGraph(weights, g.edges, g.c))
+
+
+def test_isomorphic_on_a_long_run_reads_the_compact_form():
+    g = build_family(FamilyInstance(3, A=(1000,), n=2, l=10**5))
+    top = 10**6  # above every id, so v -> top - v reverses the ids
+    core, links = g._compact()
+    flipped = DualGraph._from_parts(
+        {top - v: w for v, w in core.items()},
+        [
+            (
+                None if a is None else top - a,
+                None if b is None else top - b,
+                range(top - ids.start, top - ids.stop, -ids.step),
+            )
+            for a, b, ids in links
+        ],
+        top - g.c,
+    )
+    longer = build_family(FamilyInstance(3, A=(1000,), n=2, l=10**5 + 1))
+    assert isomorphic(g, flipped)
+    assert not isomorphic(g, longer)
+    for h in (g, flipped, longer):
+        assert h._weights is None and h._adj is None
 
 
 def test_is_tree_and_forest():
