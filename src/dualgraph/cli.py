@@ -5,13 +5,15 @@ Rational values are serialized exactly (`"2/5"`, integers without the
 denominator); graphs travel as canonical DGN strings inside the JSON.
 Errors go to stderr as one line; the exit code distinguishes them:
 0 success, 1 domain error, 2 parse error, 3 verification failures, 4 a
-library defect (InternalDefect: an invariant of the library itself broke).
+library defect (InternalDefect: an invariant of the library itself broke),
+141 stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +44,7 @@ from .twigs import (
 from .verify import SUITES, Budget, verify_all, verify_suite
 
 _BUDGET_DEFAULTS = Budget()
+_EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as shells report a closed pipe
 
 
 def _emit(doc) -> None:
@@ -281,7 +284,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`dualgraph ... | head`): point stdout at
+        # devnull so that the flush at exit cannot fail again, and exit as a
+        # writer killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

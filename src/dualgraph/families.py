@@ -329,6 +329,11 @@ def figure1_spec(A: Twig, m: int, n: int) -> FamilyInstance:
 def predicted_k_type(spec: FamilyInstance) -> KType:
     """Closed-form canonical type of a valid instance, no linear solves."""
     validate_family(spec, strict=True)
+    return _predicted_k_type(spec)
+
+
+def _predicted_k_type(spec: FamilyInstance) -> KType:
+    """predicted_k_type of a spec that validate_family(strict=True) passed."""
     if spec.family in (1, 2, 6, 7):
         return KType.ANTI_CANONICAL_AMPLE
     t = trivial_threshold(spec.A, spec.n)

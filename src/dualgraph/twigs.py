@@ -10,6 +10,11 @@ The inductance e(A) = d(A-bar)/d(A), where A-bar drops the first weight, is a
 bijection between admissible twigs and rationals strictly between 0 and 1,
 inverted by the ceiling (Hirzebruch-Jung) continued fraction expansion.  The
 adjoint A* is the admissible twig with e(A*) = 1 - e(reverse(A)).
+
+All arithmetic is on integers: a Fraction is built only where one is read or
+returned, at inductance and twig_from_inductance.  The adjoint expands
+(d(A) - d(A-underline))/d(A), which is 1 - e(reverse(A)) in lowest terms by
+the splice identity, without building it.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ def _as_twig(weights: Iterable[int]) -> Twig:
 
 
 def is_admissible(weights: Iterable[int]) -> bool:
-    return all(w >= 2 for w in weights)
+    return min(weights, default=2) >= 2
 
 
 def twig_determinant(weights: Iterable[int]) -> int:
@@ -63,28 +68,56 @@ def inductance(weights: Iterable[int]) -> Fraction:
     return Fraction(twig_determinant(t[1:]), twig_determinant(t))
 
 
+def _expand(num: int, den: int) -> Twig:
+    """The ceiling continued fraction of num/den > 1: a_1 = ceil(num/den),
+    and the expansion goes on with den/(a_1 den - num) until the denominator
+    is 0.
+
+    An admissible twig of determinant d has at most d - 1 entries, so for
+    num <= 10**7 + 1 the twig fits under the cap and each entry is one plain
+    step, the cheapest loop on the short twigs the suites expand.  Past that,
+    a run of 2s is one divmod(den, k), since num - den stays k along it, and
+    more than 10**7 entries is a DomainError, raised before a run that would
+    reach the cap with entries still to come is built.  Entries >= 3 are
+    counted at the end: each at least doubles the determinant, so there are
+    at most log2(num) of them.
+    """
+    weights: list[int] = []
+    if num <= _LENGTH_CAP + 1:
+        while den:
+            a = -(-num // den)
+            weights.append(a)
+            num, den = den, a * den - num
+        return tuple(weights)
+    while den:
+        k = num - den
+        if k <= den:  # ceil(num/den) == 2
+            run, rest = divmod(den, k)
+            if len(weights) + run + (rest > 0) > _LENGTH_CAP:
+                break
+            weights += [2] * run
+            num, den = rest + k, rest
+        else:
+            a = -(-num // den)
+            weights.append(a)
+            num, den = den, a * den - num
+    if den or len(weights) > _LENGTH_CAP:
+        raise DomainError(f"twig would have more than {_LENGTH_CAP} entries")
+    return tuple(weights)
+
+
 def twig_from_inductance(q: Fraction | int) -> Twig:
     """The unique admissible twig with inductance q, for q strictly in (0,1).
 
     Weights come from the ceiling continued fraction of 1/q: with x = d/p,
     a_1 = ceil(x) and the expansion recurses on 1/(a_1 - x) until exact.
-    The denominators strictly decrease, so the loop ends, and it stops with
-    a DomainError rather than build more than 10**7 entries.
+    A twig of more than 10**7 entries is a DomainError, raised before the
+    run of 2s that would pass the cap is built.
     """
     q = Fraction(q)
     if not 0 < q < 1:
         raise DomainError(f"inductance value must satisfy 0 < q < 1, got {q}")
-    num, den = q.denominator, q.numerator  # x = num/den > 1
-    weights = []
-    for _ in range(_LENGTH_CAP):
-        if not den:
-            break
-        a = -(-num // den)  # ceiling
-        weights.append(a)
-        num, den = den, a * den - num
-    if den:
-        raise DomainError(f"twig would have more than {_LENGTH_CAP} entries")
-    return tuple(weights)
+    return _expand(q.denominator, q.numerator)
 
 
 def adjoint(weights: Iterable[int]) -> Twig:
@@ -93,10 +126,15 @@ def adjoint(weights: Iterable[int]) -> Twig:
     t = _as_twig(weights)
     if not t:
         raise DomainError("adjoint is undefined for the empty twig")
+    if not is_admissible(t):
+        raise DomainError(
+            f"inductance requires an admissible twig, got {list(t[::-1])}"
+        )
     length = sum(t) - 2 * len(t) + 1
-    if length > _LENGTH_CAP and is_admissible(t):
+    if length > _LENGTH_CAP:
         raise DomainError(f"twig has {length} entries, more than {_LENGTH_CAP}")
-    return twig_from_inductance(1 - inductance(t[::-1]))
+    d = twig_determinant(t)
+    return _expand(d, d - twig_determinant(t[:-1]))
 
 
 _ITEM_RE = re.compile(r"^(?:(\d+)\*)?(\d+)$")

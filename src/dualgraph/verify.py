@@ -24,8 +24,8 @@ from .families import (
     FamilyInstance,
     build_family,
     figure1_graph,
+    _predicted_k_type,
     l_bound,
-    predicted_k_type,
     trivial_threshold,
 )
 from .graphs import (
@@ -123,18 +123,38 @@ def _spec_key(spec: FamilyInstance) -> str:
 
 
 class _Run:
+    """Instance and check counts plus failure records.  A record's instance
+    key and detail are built only when its check fails: a passing check
+    formats nothing."""
+
     def __init__(self, suite: str, budget_doc: dict):
         self.suite = suite
         self.budget_doc = budget_doc
         self.instances = 0
         self.checks = 0
         self.failures: list[dict] = []
+        self._key: Callable[[object], str] = str
+        self._subject: object = None
 
-    def check(self, ok: bool, name: str, instance: str, detail: str = ""):
+    def instance(self, key: Callable[[object], str], subject: object) -> None:
+        """Start the next instance; key(subject) is its key in a record."""
+        self.instances += 1
+        self._key = key
+        self._subject = subject
+
+    def check(
+        self, ok: bool, name: str, detail: str | Callable[[], str] = ""
+    ) -> None:
+        """Count one check of the current instance; detail, a string or a
+        function that formats one, is read only if ok is false."""
         self.checks += 1
         if not ok:
             self.failures.append(
-                {"check": name, "instance": instance, "detail": detail}
+                {
+                    "check": name,
+                    "instance": self._key(self._subject),
+                    "detail": detail if isinstance(detail, str) else detail(),
+                }
             )
 
     def report(self) -> dict:
@@ -163,36 +183,32 @@ def verify_fujita_suite(
         "fujita", {"max_len": max_len, "max_weight": max_weight}
     )
     for t in enumerate_admissible_twigs(max_len, max_weight):
-        run.instances += 1
-        key = format_twig(t)
+        run.instance(format_twig, t)
         d = twig_determinant(t)
         d_ov = twig_determinant(t[1:])
         d_ul = twig_determinant(t[:-1])
         mid = 0 if len(t) == 1 else twig_determinant(t[1:-1])
+        splice = d_ov * d_ul - d * mid
         run.check(
-            d_ov * d_ul - d * mid == 1,
+            splice == 1,
             "splice-identity",
-            key,
-            f"d_ov*d_ul - d*mid = {d_ov * d_ul - d * mid}",
+            lambda: f"d_ov*d_ul - d*mid = {splice}",
         )
         star = adjoint_fn(t)
         run.check(
             twig_determinant(star) == d
             and twig_determinant(star[1:]) == d - d_ul,
             "adjoint-determinants",
-            key,
-            f"adjoint {format_twig(star)}",
+            lambda: f"adjoint {format_twig(star)}",
         )
+        back = adjoint_fn(star)
         run.check(
-            adjoint_fn(star) == t,
+            back == t,
             "adjoint-involution",
-            key,
-            f"double adjoint {format_twig(adjoint_fn(star))}",
+            lambda: f"double adjoint {format_twig(back)}",
         )
         run.check(
-            twig_from_inductance(inductance(t)) == t,
-            "inductance-round-trip",
-            key,
+            twig_from_inductance(inductance(t)) == t, "inductance-round-trip"
         )
     return run.report()
 
@@ -232,15 +248,13 @@ def verify_threshold_suite(
                         family=shape.family, A=a, n=n, l=l, b=shape.b,
                         m=shape.m,
                     )
-                    run.instances += 1
+                    run.instance(_spec_key, spec)
                     g = build_family(spec, strict=False)
                     got = negdef_fn(g.minus_c())
-                    want = l <= bound
                     run.check(
-                        got == want,
+                        got == (l <= bound),
                         "negdef-iff-run-bound",
-                        _spec_key(spec),
-                        f"bound {bound}, negdef {got}",
+                        lambda: f"bound {bound}, negdef {got}",
                     )
     return run.report()
 
@@ -318,31 +332,27 @@ def verify_trichotomy_suite(
                             yield FamilyInstance(family=7, A=a, n=n, b=b, m=m)
 
     for spec in stream():
-        run.instances += 1
-        key = _spec_key(spec)
-        g = build_family(spec)
+        run.instance(_spec_key, spec)
+        g = build_family(spec)  # validates spec for _predicted_k_type
         kt, pairing = report_fn(g)
         run.check(
-            kt is predicted_k_type(spec),
+            kt is _predicted_k_type(spec),
             "predicted-matches-computed",
-            key,
-            f"computed {kt.value}, pairing {pairing}",
+            lambda: f"computed {kt.value}, pairing {pairing}",
         )
         figure = _is_figure_shape(spec)
         run.check(
             (kt is KType.NUMERICALLY_TRIVIAL) == figure,
             "trivial-iff-figure-shape",
-            key,
-            f"computed {kt.value}",
+            lambda: f"computed {kt.value}",
         )
         if kt is KType.NUMERICALLY_TRIVIAL:
-            run.check(pairing == 1, "trivial-pairing-one", key, str(pairing))
+            run.check(pairing == 1, "trivial-pairing-one", lambda: str(pairing))
             if figure:
                 fa, fm, fn = _figure_params(spec)
                 run.check(
                     isomorphic(g, figure1_graph(fa, fm, fn)),
                     "trivial-matches-figure-graph",
-                    key,
                 )
     return run.report()
 
@@ -386,59 +396,57 @@ def verify_boundary_axioms_suite(budget: Budget = Budget()) -> dict:
                         yield FamilyInstance(family=7, A=a, n=n, b=b, m=m)
 
     for spec in stream():
-        run.instances += 1
-        key = _spec_key(spec)
+        run.instance(_spec_key, spec)
         g = build_family(spec)
-        run.check(graph_d(g) == -1, "determinant-minus-one", key, str(graph_d(g)))
+        d = graph_d(g)
+        run.check(d == -1, "determinant-minus-one", lambda: str(d))
+        signed = signed_determinant(g)
         run.check(
-            signed_determinant(g) == (-1) ** (len(g) - 1),
+            signed == (-1) ** (len(g) - 1),
             "signed-determinant-parity",
-            key,
-            str(signed_determinant(g)),
+            lambda: str(signed),
         )
-        run.check(is_tree(g), "tree", key)
+        run.check(is_tree(g), "tree")
+        c_weight = g.weight(g.c)
         want_c = 0 if spec.family == 1 else -1
-        run.check(g.weight(g.c) == want_c, "c-weight", key, str(g.weight(g.c)))
-        run.check(g.degree(g.c) <= 2, "c-degree", key, str(g.degree(g.c)))
-        sr = shape_report(g)
+        run.check(c_weight == want_c, "c-weight", lambda: str(c_weight))
+        c_degree = g.degree(g.c)
+        run.check(c_degree <= 2, "c-degree", lambda: str(c_degree))
+        comps = shape_report(g).components
         run.check(
-            len(sr.components) <= 2
-            and all(comp.kind in ("chain", "star") for comp in sr.components),
+            len(comps) <= 2
+            and all(comp.kind in ("chain", "star") for comp in comps),
             "off-c-shape",
-            key,
-            ";".join(comp.kind for comp in sr.components),
+            lambda: ";".join(comp.kind for comp in comps),
         )
 
     # one frozen witness per shape class
     chain = build_family(FamilyInstance(family=2, A=(3,), n=2))
     sr = shape_report(chain)
-    run.instances += 1
+    run.instance(str, "family=2 A=[3] n=2")
     run.check(
         sr.c_degree == 2
         and len(sr.components) == 2
         and all(c.kind == "chain" for c in sr.components),
         "spot-chain-shape",
-        "family=2 A=[3] n=2",
     )
     star = build_family(FamilyInstance(family=4, A=(2,), n=2, l=1, b=(3,)))
     sr = shape_report(star)
-    run.instances += 1
+    run.instance(str, "family=4 A=[2] n=2 l=1 b=[3]")
     run.check(
         sr.c_degree == 2
         and len(sr.components) == 2
         and sorted(c.kind for c in sr.components) == ["chain", "star"],
         "spot-one-branch-shape",
-        "family=4 A=[2] n=2 l=1 b=[3]",
     )
     double = build_family(FamilyInstance(family=5, A=(2,), n=2, l=0, b=(3,), m=1))
     sr = shape_report(double)
-    run.instances += 1
+    run.instance(str, "family=5 A=[2] n=2 l=0 b=[3] m=1")
     run.check(
         sr.c_degree == 2
         and len(sr.components) == 2
         and sorted(len(c.vertices) for c in sr.components)[0] == 1,
         "spot-two-branch-shape",
-        "family=5 A=[2] n=2 l=0 b=[3] m=1",
     )
     return run.report()
 
@@ -519,25 +527,22 @@ def verify_contraction_suite(
         g = build_family(spec, strict=False)
         if not _qualifies(g, g.c):
             continue
-        run.instances += 1
-        key = _spec_key(spec)
+        run.instance(_spec_key, spec)
         neg = is_negative_definite(g.minus_c())
         run.check(
             neg == valid,
             "valid-iff-negdef",
-            key,
-            f"negdef {neg}, in-bound {valid}",
+            lambda: f"negdef {neg}, in-bound {valid}",
         )
         g1 = _f_move(g, blow_fn)
-        run.check(g1 is not None, "c-prime-unique", key)
+        run.check(g1 is not None, "c-prime-unique")
         if g1 is None:
             continue
         d_contracted = graph_d(contract_all(g))
         run.check(
             d_contracted == -1,
             "contract-all-determinant",
-            key,
-            str(d_contracted),
+            lambda: str(d_contracted),
         )
         # the two ends next to C: v_deep carries weight <= -3, v_two is the
         # (-2) side; the equivalences below only apply when the relevant
@@ -546,24 +551,23 @@ def verify_contraction_suite(
         deep_alone = g.degree(v_deep) == 1
         two_alone = g.degree(v_two) == 1
         if not deep_alone and not two_alone:
+            neg1 = is_negative_definite(g1.minus_c())
             run.check(
-                is_negative_definite(g1.minus_c()) == neg,
+                neg1 == neg,
                 "f-negdef-iff",
-                key,
-                f"before {neg}, after {is_negative_definite(g1.minus_c())}",
+                lambda: f"before {neg}, after {neg1}",
             )
         g2 = None
         if two_alone and g.weight(v_deep) == -3:
             g2 = _f_move(g1, blow_fn)
-            run.check(g2 is not None, "c-second-unique", key)
-            if g2 is not None:
-                if not deep_alone:
-                    run.check(
-                        is_negative_definite(g2.minus_c()) == neg,
-                        "g-negdef-iff",
-                        key,
-                        f"before {neg}, after {is_negative_definite(g2.minus_c())}",
-                    )
+            run.check(g2 is not None, "c-second-unique")
+            if g2 is not None and not deep_alone:
+                neg2 = is_negative_definite(g2.minus_c())
+                run.check(
+                    neg2 == neg,
+                    "g-negdef-iff",
+                    lambda: f"before {neg}, after {neg2}",
+                )
         # pairing transitions need a contractible instance whose off-C part
         # has a branch vertex
         # run vertices have degree 1 or 2, so a branch vertex is core
@@ -578,7 +582,7 @@ def verify_contraction_suite(
         if clause1:
             p1 = _pairing_of(g1)
             if p is None or p1 is None:
-                run.check(False, "f-pairing-transition", key, "pairing undefined")
+                run.check(False, "f-pairing-transition", "pairing undefined")
             else:
                 if p > 1:
                     ok, law = p1 >= 1, "p>1 -> p' >= 1"
@@ -586,17 +590,17 @@ def verify_contraction_suite(
                     ok, law = p1 <= 1, "p=1 -> p' <= 1"
                 else:
                     ok, law = p1 < 1, "p<1 -> p' < 1"
-                run.check(ok, "f-pairing-transition", key, f"{law}: {p} -> {p1}")
+                run.check(ok, "f-pairing-transition", lambda: f"{law}: {p} -> {p1}")
         else:
             p2 = _pairing_of(g2) if g2 is not None else None
             if p is None or p2 is None:
-                run.check(False, "g-pairing-transition", key, "pairing undefined")
+                run.check(False, "g-pairing-transition", "pairing undefined")
             else:
                 if p > 1:
                     ok, law = p2 >= 1, "p>1 -> p'' >= 1"
                 else:
                     ok, law = p2 < 1, "p<=1 -> p'' < 1"
-                run.check(ok, "g-pairing-transition", key, f"{law}: {p} -> {p2}")
+                run.check(ok, "g-pairing-transition", lambda: f"{law}: {p} -> {p2}")
     return run.report()
 
 

@@ -4,8 +4,10 @@ Everything here works on plain list-of-lists integer matrices so that none of
 the package's elimination code is in the loop, except contract_all_rescan,
 shape_report_dfs, canonical_form_dfs and the Fraction adjunction solve
 (solve_forest_fraction and its readers), which read DualGraphs and the
-library's integer tree pass.  These are the reference implementations the
-fast code must agree with.
+library's integer tree pass, and fujita_suite_eager, which runs the library's
+twig functions.  The Fraction twig calculus (inductance_fraction,
+twig_from_inductance_stepwise, adjoint_fraction) is self-contained.  These
+are the reference implementations the fast code must agree with.
 """
 
 from __future__ import annotations
@@ -456,3 +458,121 @@ def k_type_report_fraction(g):
             )
         return KType.NUMERICALLY_TRIVIAL, pairing
     return KType.CANONICAL_AMPLE, pairing
+
+
+def _twig_det(t) -> int:
+    prev, cur = 0, 1
+    for a in t:
+        prev, cur = cur, a * cur - prev
+    return cur
+
+
+def inductance_fraction(t):
+    """twigs.inductance, with the same errors, as one Fraction."""
+    from dualgraph.errors import DomainError
+
+    t = tuple(map(int, t))
+    if not t:
+        raise DomainError("inductance is undefined for the empty twig")
+    if not all(w >= 2 for w in t):
+        raise DomainError(f"inductance requires an admissible twig, got {list(t)}")
+    return Fraction(_twig_det(t[1:]), _twig_det(t))
+
+
+def twig_from_inductance_stepwise(q):
+    """twigs.twig_from_inductance, with the same errors, one Fraction in and
+    one ceiling step per entry."""
+    from dualgraph.errors import DomainError
+
+    cap = 10**7
+    q = Fraction(q)
+    if not 0 < q < 1:
+        raise DomainError(f"inductance value must satisfy 0 < q < 1, got {q}")
+    num, den = q.denominator, q.numerator
+    weights = []
+    for _ in range(cap):
+        if not den:
+            break
+        a = -(-num // den)
+        weights.append(a)
+        num, den = den, a * den - num
+    if den:
+        raise DomainError(f"twig would have more than {cap} entries")
+    return tuple(weights)
+
+
+def adjoint_fraction(t):
+    """twigs.adjoint, with the same errors in the same order, as the
+    definition reads: the twig whose inductance is 1 - e(reverse A)."""
+    from dualgraph.errors import DomainError
+
+    cap = 10**7
+    t = tuple(map(int, t))
+    if not t:
+        raise DomainError("adjoint is undefined for the empty twig")
+    length = sum(t) - 2 * len(t) + 1
+    if length > cap and all(w >= 2 for w in t):
+        raise DomainError(f"twig has {length} entries, more than {cap}")
+    return twig_from_inductance_stepwise(1 - inductance_fraction(t[::-1]))
+
+
+def fujita_suite_eager(max_len, max_weight, adjoint_fn):
+    """verify_fujita_suite as a loop that builds every instance key and
+    detail string, failing or not: the reference for the suite's report."""
+    from dualgraph.twigs import (
+        format_twig,
+        inductance,
+        twig_determinant,
+        twig_from_inductance,
+    )
+    from dualgraph.verify import enumerate_admissible_twigs
+
+    instances = checks = 0
+    failures = []
+
+    def check(ok, name, key, detail=""):
+        nonlocal checks
+        checks += 1
+        if not ok:
+            failures.append({"check": name, "instance": key, "detail": detail})
+
+    for t in enumerate_admissible_twigs(max_len, max_weight):
+        instances += 1
+        key = format_twig(t)
+        d = twig_determinant(t)
+        d_ov = twig_determinant(t[1:])
+        d_ul = twig_determinant(t[:-1])
+        mid = 0 if len(t) == 1 else twig_determinant(t[1:-1])
+        check(
+            d_ov * d_ul - d * mid == 1,
+            "splice-identity",
+            key,
+            f"d_ov*d_ul - d*mid = {d_ov * d_ul - d * mid}",
+        )
+        star = adjoint_fn(t)
+        check(
+            twig_determinant(star) == d
+            and twig_determinant(star[1:]) == d - d_ul,
+            "adjoint-determinants",
+            key,
+            f"adjoint {format_twig(star)}",
+        )
+        check(
+            adjoint_fn(star) == t,
+            "adjoint-involution",
+            key,
+            f"double adjoint {format_twig(adjoint_fn(star))}",
+        )
+        check(
+            twig_from_inductance(inductance(t)) == t,
+            "inductance-round-trip",
+            key,
+        )
+    return {
+        "suite": "fujita",
+        "budget": {"max_len": max_len, "max_weight": max_weight},
+        "instances": instances,
+        "checks": checks,
+        "failures": failures,
+        "pass": not failures,
+    }

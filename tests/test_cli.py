@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -264,3 +265,41 @@ def test_an_adjoint_over_the_cap_is_refused_at_once():
     assert time.perf_counter() - start < 2
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "error: twig has 10000001 entries, more than 10000000\n"
+
+
+def test_a_run_of_twos_over_the_cap_is_refused_at_once():
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualgraph.cli", "twig", "from-e", "999999999/1000000000"],
+        capture_output=True,
+        text=True,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: twig would have more than 10000000 entries\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twig", "adjoint", "[3]"],  # fits the buffer: fails at the last flush
+        ["twig", "adjoint", "[20000]"],  # 40 kB: fails inside print
+        ["verify", "--suite", "fujita", "--max-len", "3"],
+    ],
+)
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    # `dualgraph ... | head -0`: the reading end is closed before anything
+    # is written, so every write to stdout fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualgraph.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

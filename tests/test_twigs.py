@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualgraph import twigs
 from dualgraph.errors import DomainError, ParseError
 from dualgraph.twigs import (
     adjoint,
@@ -17,7 +18,13 @@ from dualgraph.twigs import (
     twig_parts,
 )
 from dualgraph.verify import enumerate_admissible_twigs
-from oracles import dense_det, tridiagonal_neg_matrix
+from oracles import (
+    adjoint_fraction,
+    dense_det,
+    inductance_fraction,
+    tridiagonal_neg_matrix,
+    twig_from_inductance_stepwise,
+)
 
 # Frozen expected values.
 DETERMINANT_TABLE = [
@@ -263,3 +270,75 @@ def test_twig_outputs_are_capped_before_they_are_built():
     with pytest.raises(DomainError, match="admissible"):
         adjoint((1, 10**9))
 
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+# admissible twigs with runs of 2s up to 10^5 and weights up to 10^5, whose
+# adjoints are runs of 2s of that length
+long_twigs = st.lists(
+    st.one_of(
+        st.integers(1, 10**5).map(lambda k: (2,) * k),
+        st.integers(3, 9).map(lambda a: (a,)),
+        st.integers(3, 10**5).map(lambda a: (a,)),
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda parts: sum(parts, ()))
+bad_twigs = st.lists(st.integers(-3, 9), max_size=6).filter(
+    lambda t: not t or min(t) < 2
+)
+any_rationals = st.one_of(
+    st.fractions(),
+    st.integers(-3, 3),
+    st.integers(2, 10**6).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))
+    ),
+)
+
+
+@given(long_twigs)
+@settings(max_examples=150, deadline=None)
+def test_integer_twig_calculus_matches_the_fraction_oracle(t):
+    star = adjoint(t)
+    assert star == adjoint_fraction(t)
+    assert adjoint(star) == t
+    for q in (inductance(t), inductance(star), 1 - inductance(t[::-1])):
+        assert twig_from_inductance(q) == twig_from_inductance_stepwise(q)
+
+
+@given(bad_twigs)
+@settings(max_examples=200)
+def test_adjoint_errors_match_the_fraction_oracle(t):
+    assert outcome(adjoint, t) == outcome(adjoint_fraction, t)
+    assert outcome(inductance, t) == outcome(inductance_fraction, t)
+
+
+@given(any_rationals)
+@settings(max_examples=300)
+def test_from_inductance_matches_the_stepwise_oracle(q):
+    assert outcome(twig_from_inductance, q) == outcome(
+        twig_from_inductance_stepwise, q
+    )
+
+
+def test_a_run_of_twos_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # one divmod per run: 10^9 entries or 10^7 + 1 fail at once
+    for q in (Fraction(999999999, 10**9), Fraction(10**7 + 1, 10**7 + 2)):
+        with pytest.raises(DomainError) as exc:
+            twig_from_inductance(q)
+        assert str(exc.value) == "twig would have more than 10000000 entries"
+    # at the edge, on a cap of 10: a run that fills it is a twig, one more
+    # entry after it (a 2 or a 3) is not
+    monkeypatch.setattr(twigs, "_LENGTH_CAP", 10)
+    assert twig_from_inductance(Fraction(10, 11)) == (2,) * 10
+    assert twig_from_inductance(Fraction(10, 21)) == (3,) + (2,) * 9
+    for q in (Fraction(11, 12), Fraction(21, 23), Fraction(11, 23)):
+        with pytest.raises(DomainError, match="more than 10 entries"):
+            twig_from_inductance(q)

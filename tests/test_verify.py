@@ -8,6 +8,7 @@ import pytest
 from dualgraph.canonical import KType
 from dualgraph.errors import DomainError
 from dualgraph.graphs import DualGraph, blow_down
+from dualgraph import verify
 from dualgraph.twigs import adjoint
 from dualgraph.verify import (
     SUITES,
@@ -21,7 +22,7 @@ from dualgraph.verify import (
     verify_trichotomy_suite,
 )
 
-from oracles import graph_neg_matrix, pivot_negdef
+from oracles import fujita_suite_eager, graph_neg_matrix, pivot_negdef
 
 SMALL = Budget(
     max_det=6, max_len=4, max_n=3, max_m=2, max_b_len=2, max_b_weight=5
@@ -142,3 +143,64 @@ def test_contraction_suite_catches_wrong_neighbor_weight():
     rep = verify_contraction_suite(SMALL, blow_fn=bad_blow)
     assert rep["pass"] is False
     assert rep["failures"]
+
+
+# -- failure records are built only for failing checks ------------------------
+
+
+def _last_plus_one(t):
+    star = adjoint(t)
+    return star[:-1] + (star[-1] + 1,)
+
+
+def _wrong_past_length_three(t):
+    # right on every twig of the (3, 4) box, so every adjoint-determinants
+    # check passes; wrong on the adjoints longer than the box
+    return adjoint(t) if len(t) <= 3 else _last_plus_one(t)
+
+
+@pytest.mark.parametrize(
+    "adjoint_fn",
+    [lambda t: adjoint(t[::-1]), _last_plus_one, _wrong_past_length_three],
+    ids=["reversed", "last-plus-one", "involution-only"],
+)
+def test_fujita_report_matches_the_eager_oracle(adjoint_fn):
+    rep = verify_fujita_suite(3, 4, adjoint_fn=adjoint_fn)
+    assert rep == fujita_suite_eager(3, 4, adjoint_fn)
+    assert rep["pass"] is False
+
+
+def test_the_mutations_fail_both_adjoint_checks():
+    def failed(adjoint_fn):
+        rep = verify_fujita_suite(3, 4, adjoint_fn=adjoint_fn)
+        return {f["check"] for f in rep["failures"]}
+
+    assert "adjoint-determinants" in failed(_last_plus_one)
+    assert failed(_wrong_past_length_three) == {"adjoint-involution"}
+    assert verify_fujita_suite(3, 4) == fujita_suite_eager(3, 4, adjoint)
+
+
+def test_passing_checks_format_no_keys(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(x):
+            calls.append(x)
+            return fn(x)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "format_twig", counted(verify.format_twig))
+    monkeypatch.setattr(verify, "_spec_key", counted(verify._spec_key))
+    assert verify_fujita_suite(4, 5)["pass"] is True
+    for name in SUITES[1:]:
+        assert verify_suite(name, TINY)["pass"] is True
+    assert calls == []
+    # the counters see the keys of failing checks
+    rep = verify_fujita_suite(2, 3, adjoint_fn=lambda t: adjoint(t[::-1]))
+    assert len(calls) == 2 * len(rep["failures"])
+    calls.clear()
+    rep = verify_trichotomy_suite(
+        TINY, report_fn=lambda g: (KType.CANONICAL_AMPLE, Fraction(2))
+    )
+    assert len(calls) == len(rep["failures"]) > 0
