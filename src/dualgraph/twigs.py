@@ -73,22 +73,13 @@ def _expand(num: int, den: int) -> Twig:
     and the expansion goes on with den/(a_1 den - num) until the denominator
     is 0.
 
-    An admissible twig of determinant d has at most d - 1 entries, so for
-    num <= 10**7 + 1 the twig fits under the cap and each entry is one plain
-    step, the cheapest loop on the short twigs the suites expand.  Past that,
-    a run of 2s is one divmod(den, k), since num - den stays k along it, and
-    more than 10**7 entries is a DomainError, raised before a run that would
+    A run of 2s is one divmod(den, k), since num - den stays k along it.
+    More than 10**7 entries is a DomainError, raised before a run that would
     reach the cap with entries still to come is built.  Entries >= 3 are
     counted at the end: each at least doubles the determinant, so there are
     at most log2(num) of them.
     """
     weights: list[int] = []
-    if num <= _LENGTH_CAP + 1:
-        while den:
-            a = -(-num // den)
-            weights.append(a)
-            num, den = den, a * den - num
-        return tuple(weights)
     while den:
         k = num - den
         if k <= den:  # ceil(num/den) == 2
