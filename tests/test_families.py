@@ -1,5 +1,9 @@
 """Family builders, the recognizer, and the closed-form type table."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from dualgraph.canonical import KType, k_type_report
@@ -533,3 +537,117 @@ class TestTypeAgreement:
         for s in cases:
             got = k_type_report(build_family(s))[0]
             assert got is predicted_k_type(s), s
+
+
+# -- pinned outputs --------------------------------------------------------------
+#
+# Two sha256 digests over seeded streams pin what the builders emit and what
+# the recognizer reads, byte for byte, so a rewrite of either must give the
+# same outputs.  Both streams come from random.Random with a fixed seed.
+
+
+def random_spec(rng):
+    """A family instance with small twigs; l is drawn around and past its
+    bound, so over-bound instances (built with strict=False) come up too."""
+    family = rng.randint(1, 7)
+    n = rng.randint(2, 4)
+    if family == 1:
+        return spec(1, n=n)
+    kw = {"A": tuple(rng.choice((2, 2, 3)) for _ in range(rng.randint(1, 2)))}
+    if family in (3, 4, 5):
+        bound = l_bound(kw["A"], n)
+        kw["l"] = rng.choice(
+            (rng.randint(0, 6), rng.randint(0, bound), bound, bound + 1,
+             bound + rng.randint(2, 5))
+        )
+    if family >= 4:
+        kw["b"] = (rng.randint(3, 5),) + tuple(
+            rng.choice((2, 2, 3)) for _ in range(rng.randint(0, 2))
+        )
+    if family in (5, 7):
+        kw["m"] = rng.randint(0, 3)
+    return spec(family, n=n, **kw)
+
+
+def perturbed_family_graph(rng):
+    """A family instance with up to two edits: a weight bumped (half of the
+    time next to C), C moved or dropped, a leaf added or removed, an edge
+    added or removed; then, half of the time, its ids permuted."""
+    g = build_family(random_spec(rng), strict=False)
+    weights, edges, c = g.weights, set(g.edges), g.c
+    for _ in range(rng.randint(0, 2)):
+        ids = sorted(weights)
+        v = rng.choice(ids)
+        kind = rng.randrange(6)
+        if kind == 0:
+            near = [u for e in edges if c in e for u in e if u != c]
+            if near and rng.random() < 0.5:
+                v = rng.choice(sorted(near))
+            weights[v] += rng.choice((-1, 1))
+        elif kind == 1:
+            c = rng.choice(ids + [None])
+        elif kind == 2:
+            leaf = ids[-1] + 1
+            weights[leaf] = rng.choice((-1, -2, -3))
+            edges.add((v, leaf))
+        elif kind == 3 and len(ids) > 2:
+            leaves = [u for u in ids if sum(u in e for e in edges) == 1]
+            if leaves:
+                u = rng.choice(leaves)
+                del weights[u]
+                edges = {e for e in edges if u not in e}
+                c = None if c == u else c
+        elif kind == 4:
+            u = rng.choice(ids)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        elif edges:
+            edges.discard(rng.choice(sorted(edges)))
+    if rng.random() < 0.5:
+        ids = sorted(weights)
+        new = rng.sample(range(1, 3 * len(ids) + 1), len(ids))
+        to = dict(zip(ids, new))
+        weights = {to[v]: w for v, w in weights.items()}
+        edges = {(to[u], to[v]) for u, v in edges}
+        c = None if c is None else to[c]
+    return DualGraph(weights, sorted(edges), c)
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_built_layouts_are_pinned():
+    rng = random.Random(20261019)
+    specs = [random_spec(rng) for _ in range(3000)]
+    assert {s.family for s in specs} == set(range(1, 8))
+    assert any(s.l is not None and s.l > l_bound(s.A, s.n) for s in specs)
+    got = _digest(serialize_dgn(build_family(s, strict=False)) for s in specs)
+    assert got == (
+        "9786517560024546e980de1253c54d5d54d056646cf9ef97c5f3f3d73e72c6cb"
+    )
+
+
+def test_readings_of_perturbed_instances_are_pinned():
+    rng = random.Random(1019)
+    lines, families, reasons = [], set(), set()
+    for _ in range(3000):
+        matches, reason = classify_family_all(perturbed_family_graph(rng))
+        families.update(m.family for m in matches)
+        reasons.add(reason.split(":")[0])
+        lines.append(json.dumps([[m.to_json_dict() for m in matches], reason]))
+    # the stream reaches every family and every reason the recognizer gives
+    assert families == set(range(1, 8))
+    assert reasons == {
+        "", "no C-marked vertex", "not a tree", "C weight not -1",
+        "unrecognized shape", "n >= 2 violated", "adjoint mismatch",
+        "A must be a nonempty admissible twig", "l out of range",
+        "b_1 >= 3 violated", "b must be a nonempty admissible twig",
+        "m >= 0 violated", "m tail mismatch",
+    }
+    assert _digest(lines) == (
+        "fd367ad3d18bf320054020eac91ffb8b1c13d73cb75dbce94693da9f26ec883e"
+    )
