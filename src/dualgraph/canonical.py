@@ -33,7 +33,7 @@ from .errors import (
     NotMinimalResolutionGraph,
     OutOfScopeBoundary,
 )
-from .graphs import DualGraph, _elimination, _through_run, _TreePass
+from .graphs import DualGraph, _core_dfs, _elimination, _through_run, _TreePass
 
 
 @dataclass(frozen=True, eq=True)
@@ -85,7 +85,7 @@ def _solve(gD: DualGraph) -> list[_Piece]:
     if not elim.definite:
         raise NotContractible("intersection form is not negative definite")
     if isinstance(elim, _TreePass):
-        pieces = _solve_forest(elim)
+        pieces = _solve_forest(gD, elim)
     else:
         pieces = [((v,), x, 0, elim.det) for v, x in zip(gD.vertex_ids, elim.scaled)]
     # a progression is smallest at one of its ends
@@ -113,20 +113,24 @@ def _per_vertex(pieces: list[_Piece]) -> dict[int, Fraction]:
     return alpha
 
 
-def _solve_forest(tp: _TreePass) -> list[_Piece]:
-    pieces: list[_Piece] = [(run, 0, 0, 1) for run in tp.pure]
+def _solve_forest(gD: DualGraph, tp: _TreePass) -> list[_Piece]:
+    """The pieces of a forest's solve, from its pass tp and its core DFS."""
+    dfs = _core_dfs(gD)
+    order, parent = dfs.order, dfs.parent
+    weights = gD._compact()[0]
+    pieces: list[_Piece] = [(run, 0, 0, 1) for run in dfs.pure]
     full, hole = tp.full, tp.hole
     # leaf first: m[v] is v's load times hole[v]; a child passes its share up
     # through the run between them, divided by the pivot at the top of that
     # run, which divides hole[p] exactly: hole[p] is the product of the tops
-    m = {v: (-tp.weights[v] - 2) * hole[v] for v in tp.order}
-    for v in reversed(tp.order):
-        p, run = tp.parent[v]
+    m = {v: (-weights[v] - 2) * hole[v] for v in order}
+    for v in reversed(order):
+        p, run = parent[v]
         if p is not None:
             m[p] += m[v] * (hole[p] // _through_run(full[v], hole[v], len(run))[0])
     scaled: dict[int, int] = {}  # D * alpha, D = full at the component's root
-    for v in tp.order:  # parents precede children
-        p, run = tp.parent[v]
+    for v in order:  # parents precede children
+        p, run = parent[v]
         if p is None:
             d = full[v]
             scaled[v] = m[v]
@@ -140,10 +144,11 @@ def _solve_forest(tp: _TreePass) -> list[_Piece]:
                 pieces.append((run, ap + step, step, d))
             scaled[v] = ap + (len(run) + 1) * step
         pieces.append(((v,), scaled[v], 0, d))
-    for v in tp.order:
-        if tp.parent[v][0] is None:
+    links = gD.core_links()
+    for v in order:
+        if parent[v][0] is None:
             d = full[v]
-        for w, run in tp.links[v]:
+        for w, run in links[v]:
             if w is None:
                 # pendant runs interpolate from scaled[v] down to a virtual 0
                 step = -scaled[v] // (len(run) + 1)

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,22 +52,25 @@ def _emit(doc) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _arg_or_stdin(value: str) -> str:
-    return sys.stdin.read() if value == "-" else value
+def _read(arg: str) -> str:
+    """The text of stdin for "-", else of the file arg; input that cannot be
+    read or decoded is a ParseError."""
+    try:
+        if arg != "-":
+            return Path(arg).read_text()
+        if sys.stdin is None:  # closed by the caller, as by `<&-`
+            raise OSError("stdin is closed")
+        return sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(0, f"cannot read {'stdin' if arg == '-' else arg}: {exc}")
 
 
 def _load_graph(arg: str):
-    if arg == "-":
-        return parse_dgn(sys.stdin.read())
-    try:
-        text = Path(arg).read_text()
-    except OSError as exc:
-        raise ParseError(0, f"cannot read {arg}: {exc}")
-    return parse_dgn(text)
+    return parse_dgn(_read(arg))
 
 
 def _load_spec(arg: str) -> FamilyInstance:
-    raw = _arg_or_stdin(arg)
+    raw = _read(arg) if arg == "-" else arg
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -184,13 +188,19 @@ def _cmd_verify(args) -> int:
         max_n=args.max_n,
         max_m=args.max_m,
     )
-    if args.suite == "all":
-        report = verify_all(budget)
-    else:
-        report = verify_suite(args.suite, budget)
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.json_path:
-        Path(args.json_path).write_text(text + "\n")
+    # the report file is opened first, so a bad path fails before any suite
+    try:
+        out = open(args.json_path, "w") if args.json_path else nullcontext()
+    except OSError as exc:
+        raise ParseError(0, f"cannot write {args.json_path}: {exc}")
+    with out:
+        if args.suite == "all":
+            report = verify_all(budget)
+        else:
+            report = verify_suite(args.suite, budget)
+        text = json.dumps(report, sort_keys=True, indent=2)
+        if args.json_path:
+            out.write(text + "\n")
     print(text)
     return 0 if report["pass"] else 3
 
@@ -284,6 +294,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
+    if sys.stdin is not None:
+        # decode stdin as strictly as files are read (the C locale would let
+        # undecodable bytes through as surrogates)
+        sys.stdin.reconfigure(errors="strict")
     try:
         code = main()
         sys.stdout.flush()

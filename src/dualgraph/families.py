@@ -23,6 +23,12 @@ Family layouts (arms read outward from the center / along the chain):
 uB* denotes adjoint(b) with its last entry removed; its head is the vertex
 nearest C (families (4), (6)) or nearest w ((5), (7)).  Twig arms are written
 with negated weights; A* starts at the center with its first entry.
+
+Families (3)-(7) are one skeleton, which the builder assembles and the
+recognizer reads in one pass each: a center with the arms A* and
+a_r .. a_1, (-n), and a C-arm.  (3) is (4) with b empty; (6) and (7) are (4)
+and (5) with b_1 moved onto the center and no run; (5) and (7) end the C-arm
+in w instead of C.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ class FamilyInstance:
             )
         if "family" not in data:
             raise InvalidFamilyParams("family spec needs a 'family' field")
+        _check_family(data["family"])
         kwargs: dict = {"family": data["family"]}
         for key in ("n", "l", "m"):
             if key in data:
@@ -117,14 +124,19 @@ def trivial_threshold(A: Twig, n: int) -> int:
     )
 
 
+def _check_family(family) -> None:
+    # type(), not isinstance: True and 1.0 compare equal to 1 but are no family
+    if type(family) is not int or family not in _REQUIRED:
+        raise InvalidFamilyParams(f"family must be 1..7, got {family!r}")
+
+
 def validate_family(spec: FamilyInstance, strict: bool = True) -> None:
     """Raise InvalidFamilyParams naming the violated constraint.
 
     strict=False skips only the upper bound on l, so over-bound instances can
     be built for definiteness experiments; everything else always holds.
     """
-    if spec.family not in _REQUIRED:
-        raise InvalidFamilyParams(f"family must be 1..7, got {spec.family!r}")
+    _check_family(spec.family)
     required = _REQUIRED[spec.family]
     for key in ("A", "n", "l", "b", "m"):
         val = getattr(spec, key)
@@ -252,41 +264,21 @@ def build_family(spec: FamilyInstance, strict: bool = True) -> DualGraph:
         asm.edge(end_a, c)
         asm.arm(c, star)
         return asm.graph()
-    arm_a = _neg(tuple(reversed(A))) + [-n]
-    if spec.family == 3:
-        center = asm.vertex(-2)
-        asm.arm(center, star)
-        asm.arm(center, [-1], mark_at=0, run=l)
-        asm.arm(center, arm_a)
-        return asm.graph()
-    if spec.family == 4:
-        center = asm.vertex(-2)
-        asm.arm(center, star)
-        mid = _neg(b) + [-1] + _neg(_u_bstar(b))
-        asm.arm(center, mid, mark_at=len(b), run=l)
-        asm.arm(center, arm_a)
-        return asm.graph()
-    if spec.family == 5:
-        center = asm.vertex(-2)
-        asm.arm(center, star)
-        w = asm.arm(center, _neg(b) + [-(m + 2)], run=l, tip=False)
-        asm.arm(w, _neg(_u_bstar(b)))
-        asm.arm(asm.arm(w, [-1], mark_at=0, tip=False), [], run=m)
-        asm.arm(center, arm_a)
-        return asm.graph()
-    if spec.family == 6:
-        center = asm.vertex(-b[0])
-        asm.arm(center, star)
-        tail = _neg(b[1:]) + [-1] + _neg(_u_bstar(b))
-        asm.arm(center, tail, mark_at=len(b) - 1)
-        asm.arm(center, arm_a)
-        return asm.graph()
-    center = asm.vertex(-b[0])  # family (7)
+    # (3)-(5) put the run l and then b on the C-arm of a (-2) center, (3)
+    # with b empty; (6) and (7) put b_1 on the center and b_2 .. b_s on the arm
+    if spec.family <= 5:
+        center, spine, run = asm.vertex(-2), _neg(b or ()), l
+    else:
+        center, spine, run = asm.vertex(-b[0]), _neg(b[1:]), 0
+    ustar = _neg(_u_bstar(b)) if b else []
     asm.arm(center, star)
-    w = asm.arm(center, _neg(b[1:]) + [-(m + 2)], tip=False)
-    asm.arm(w, _neg(_u_bstar(b)))
-    asm.arm(asm.arm(w, [-1], mark_at=0, tip=False), [], run=m)
-    asm.arm(center, arm_a)
+    if m is None:
+        asm.arm(center, spine + [-1] + ustar, mark_at=len(spine), run=run)
+    else:  # (5), (7): uB*, C and the m-tail hang off w = -(m+2)
+        w = asm.arm(center, spine + [-(m + 2)], run=run, tip=False)
+        asm.arm(w, ustar)
+        asm.arm(asm.arm(w, [-1], mark_at=0, tip=False), [], run=m)
+    asm.arm(center, _neg(tuple(reversed(A))) + [-n])
     return asm.graph()
 
 
@@ -471,61 +463,37 @@ def _parse_family_2(g):
     return FamilyInstance(family=2, A=a, n=n), None
 
 
-def _center_arms(g, center):
-    """Outward arms from a star center; None if an arm hits a branch."""
-    arms = []
-    for arm, branch in _arms(g, center):
-        if branch is not None:
-            return None
-        arms.append(arm)
-    return arms
-
-
-def _parse_one_branch(g, center, family):
-    """Families (3), (4) (center weight -2) and (6) (center -b_1 <= -3)."""
+def _parse_one_branch(g, center):
+    """Families (3), (4) (center weight -2) and (6) (center -b_1 <= -3).
+    Only asked of trees whose one branch vertex is center."""
     if g.degree(center) != 3:
         return None, "unrecognized shape"
-    arms = _center_arms(g, center)
-    if arms is None:
-        return None, "unrecognized shape"
+    arms = [arm for arm, _ in _arms(g, center)]
     c_piece = (g.weight(g.c), (g.c,))
     with_c = [i for i, arm in enumerate(arms) if c_piece in arm]
     if len(with_c) != 1:
         return None, "unrecognized shape"
     c_arm = arms.pop(with_c[0])
     pos = c_arm.index(c_piece)
-    before, after = c_arm[:pos], c_arm[pos + 1 :]
     result, reason = _match_side_arms(tuple(arms))
     if result is None:
         return None, reason
-    a, n = result
-    if family == 3:
-        if after:
-            return None, "unrecognized shape"
-        if any(w != -2 for w, _ in before):
-            return None, "unrecognized shape"
-        l = _size(before)
-        bound = l_bound(a, n)
-        if l > bound:
-            return None, f"l out of range: 0 <= l <= {bound}, got {l}"
-        return FamilyInstance(family=3, A=a, n=n, l=l), None
-    return _with_b(g, family, a, n, center, before, after)
+    return _read_c_arm(g, *result, center, c_arm[:pos], c_arm[pos + 1 :])
 
 
-def _parse_two_branch(g, branches, family):
-    """Families (5) (center -2) and (7) (center -b_1): C hangs off w."""
-    if any(g.degree(v) != 3 for v in branches):
+def _parse_two_branch(g, branches):
+    """Families (5) (center -2) and (7) (center -b_1): C hangs off w, the
+    one branch vertex next to C; the other one is the center.  Only asked of
+    trees with exactly these two branch vertices."""
+    touching = [v for v in branches if g.has_edge(v, g.c)]
+    if len(touching) != 1 or any(g.degree(v) != 3 for v in branches):
         return None, "unrecognized shape"
-    w = next((v for v in branches if g.has_edge(v, g.c)), None)
-    if w is None:
-        return None, "unrecognized shape"
+    (w,) = touching
     center = next(v for v in branches if v != w)
     m = -g.weight(w) - 2
     if m < 0:
         return None, "m >= 0 violated"
     # C: one side is w, the optional other side is the m-tail
-    if g.weight(g.c) != -1:
-        return None, "unrecognized shape"
     tail_sides = [
         (far, run) for far, run in g.core_links()[g.c] if run or far != w
     ]
@@ -540,50 +508,37 @@ def _parse_two_branch(g, branches, family):
         tail_len = 0
     if tail_len != m:
         return None, "m tail mismatch"
-    # w's arms: spine toward the center, uB*, and C
-    spine = None
-    ustar_arm = None
-    for far, run in sorted(g.core_links()[w], key=link_neighbor):
-        if far == g.c and not run:
-            continue
-        arm, branch = _walk(g, w, far, run)
-        if branch == center:
-            spine = arm
-        elif branch is None and ustar_arm is None:
-            ustar_arm = arm
-        else:
-            return None, "unrecognized shape"
-    if spine is None or ustar_arm is None:
-        return None, "unrecognized shape"
-    spine = spine[::-1]  # walked from w; flip to read center-outward
-    side_arms = []
-    for arm, branch in _arms(g, center):
-        if branch == w:
-            continue
-        if branch is not None:
-            return None, "unrecognized shape"
-        side_arms.append(arm)
-    if len(side_arms) != 2:
-        return None, "unrecognized shape"
-    result, reason = _match_side_arms(tuple(side_arms))
+    # w's arms besides C: the spine ends at the center, uB* at a leaf
+    walks = {}
+    for far, run in g.core_links()[w]:
+        if run or far != g.c:
+            arm, branch = _walk(g, w, far, run)
+            walks[branch] = arm
+    spine = walks[center][::-1]  # walked from w; flip to read center-outward
+    ustar_arm = walks[None]
+    # in a tree with two branch vertices, the center's third arm leads to w
+    side_arms = tuple(arm for arm, branch in _arms(g, center) if branch is None)
+    result, reason = _match_side_arms(side_arms)
     if result is None:
         return None, reason
-    a, n = result
-    return _with_b(g, family, a, n, center, spine, ustar_arm, m)
+    return _read_c_arm(g, *result, center, spine, ustar_arm, m)
 
 
-def _with_b(g, family, a, n, center, spine, ustar_arm, m=None):
-    """Families (4)-(7) once (A, n) is read: b from the spine, read from the
-    center outward (a (-2) center takes the lead run l first, else the
-    center carries b_1), then uB* against ustar_arm, then the run bound."""
-    l = None
+def _read_c_arm(g, a, n, center, spine, ustar_arm, m=None):
+    """Families (3)-(7) once (A, n) is read, from the C-arm: spine runs from
+    the center to C or w, and ustar_arm is what hangs beyond them.  A (-2)
+    center takes the lead run l and then b, which (3) leaves empty with
+    nothing beyond C; any other center carries b_1.  Then uB* is matched
+    against ustar_arm, and l against its bound."""
+    l = b = None
     if g.weight(center) == -2:
         l, spine = _lead_run(spine)
-        if not spine:
+        if spine:
+            b = _twig_of(spine)
+            if b is None or b[0] < 3:
+                return None, "b_1 >= 3 violated"
+        elif ustar_arm:
             return None, "unrecognized shape"
-        b = _twig_of(spine)
-        if b is None or b[0] < 3:
-            return None, "b_1 >= 3 violated"
     else:
         b1 = -g.weight(center)
         if b1 < 3:
@@ -592,13 +547,13 @@ def _with_b(g, family, a, n, center, spine, ustar_arm, m=None):
         if rest is None:
             return None, "b must be a nonempty admissible twig"
         b = (b1,) + rest
-    ustar = _twig_of(ustar_arm)
-    if ustar is None or ustar != _u_bstar(b):
+    if b is not None and _twig_of(ustar_arm) != _u_bstar(b):
         return None, "adjoint mismatch"
     if l is not None:
         bound = l_bound(a, n)
         if l > bound:
             return None, f"l out of range: 0 <= l <= {bound}, got {l}"
+    family = 3 if b is None else (4 if l is not None else 6) + (m is not None)
     return FamilyInstance(family=family, A=a, n=n, l=l, b=b, m=m), None
 
 
@@ -625,24 +580,13 @@ def classify_family_all(g: DualGraph) -> tuple[list[FamilyInstance], str]:
     if len(branches) == 0:
         attempt(_parse_family_1)
         attempt(_parse_family_2)
-    elif len(branches) == 1:
+    elif len(branches) <= 2:
         if g.weight(g.c) != -1:
             reasons.append("C weight not -1")
-        elif g.weight(branches[0]) == -2:
-            attempt(_parse_one_branch, branches[0], 3)
-            attempt(_parse_one_branch, branches[0], 4)
+        elif len(branches) == 1:
+            attempt(_parse_one_branch, branches[0])
         else:
-            attempt(_parse_one_branch, branches[0], 6)
-    elif len(branches) == 2:
-        if g.weight(g.c) != -1:
-            reasons.append("C weight not -1")
-        else:
-            non_w = [v for v in branches if not g.has_edge(v, g.c)]
-            if len(non_w) == 1:
-                which = 5 if g.weight(non_w[0]) == -2 else 7
-                attempt(_parse_two_branch, branches, which)
-            else:
-                reasons.append("unrecognized shape")
+            attempt(_parse_two_branch, branches)
     else:
         reasons.append("unrecognized shape")
     reason = "" if matches else next(

@@ -22,8 +22,9 @@ they expand nothing.  A graph given as vertex-level data keeps that data and
 compresses on first use.
 
 One DFS over the core, once per graph, finds the components (_core_dfs),
-each as its core vertices, its runs and its count of core-to-core links; the
-forest pass, shape_report and canonical_form all read it.  canonical_form
+each as its core vertices, its runs and its count of core-to-core links;
+is_forest compares that count with the core size, and the forest pass, the
+forest solve, shape_report and canonical_form all read it.  canonical_form
 roots each component at a center of its core tree and labels each link by
 its run length, so isomorphism is decided in time independent of the run
 lengths.  minus_c() cuts the C-vertex once and keeps the cut graph, with
@@ -31,9 +32,10 @@ whatever it has computed.
 
 Every determinant, definiteness and adjunction question reads one pass per
 graph, computed on first use and cached (with_mark carries it over).  On a
-forest it is an integer leaf-first pass over the compact form.  For the
-subtree below a core vertex v, full(v) is det(-I) of the subtree and hole(v)
-the same determinant with v struck out:
+forest it is an integer leaf-first pass over the core DFS, which keeps only
+what it computes: full and hole per core vertex, definiteness and det(-I).
+For the subtree below a core vertex v, full(v) is det(-I) of the subtree and
+hole(v) the same determinant with v struck out:
 full(v) = a_v * prod full(c) - sum_i hole(c_i) * prod_{j != i} full(c_j) and
 hole(v) = prod full(c), the tree generalization of the chain recurrence.  A
 run of j (-2)-vertices maps a child's (F, H) to ((j+1)F - jH, jF - (j-1)H),
@@ -108,9 +110,7 @@ class DualGraph:
         self._adj: dict[int, list[int]] | None = None
         self._inc: dict[int, list[_End]] | None = None
         self._hash: int | None = None
-        # None before the first question, False for a graph with a cycle
-        # that is not eliminated yet
-        self._pass: _TreePass | _DensePass | bool | None = None
+        self._pass: _TreePass | _DensePass | None = None
         self._dfs: _CoreDFS | None = None
         self._minus_c: DualGraph | None = None
 
@@ -600,21 +600,13 @@ def _core_components(g: DualGraph) -> list[_Component]:
 
 @dataclass
 class _TreePass:
-    """The integer leaf-first pass over a forest's compact form.
+    """The integer leaf-first pass over a forest's compact form: full and
+    hole are the subtree determinants of the module docstring, per core
+    vertex.  The order, parents and links it ran over are the graph's own
+    (_core_dfs, core_links)."""
 
-    order, parent and pure are those of the core DFS; links maps a core
-    vertex to its (other end or None, run ordered away from it), the
-    parent's link included.  full and hole are the subtree determinants of
-    the module docstring.
-    """
-
-    weights: dict[int, int]
-    order: list[int]
-    parent: dict[int, tuple[int | None, Sequence[int]]]
-    links: dict[int, list[tuple[int | None, Sequence[int]]]]
     full: dict[int, int]
     hole: dict[int, int]
-    pure: list[Sequence[int]]
     definite: bool  # every full is positive, inside the runs too
     det: int  # det(-I)
 
@@ -625,36 +617,26 @@ def _through_run(full: int, hole: int, j: int) -> tuple[int, int]:
     return (j + 1) * full - j * hole, j * full - (j - 1) * hole
 
 
-def _tree_pass(g: DualGraph) -> _TreePass | None:
-    """The forest pass for g, computed once; None if g has a cycle.  Never
-    eliminates."""
-    if g._pass is None:
-        g._pass = _run_tree_pass(g) or False
-    return g._pass if type(g._pass) is _TreePass else None
-
-
 def _elimination(g: DualGraph) -> _TreePass | _DensePass:
-    """The one pass of g: the forest pass, else the dense elimination."""
-    if _tree_pass(g) is None and g._pass is False:
-        g._pass = _bareiss(g)
+    """The one pass of g, computed once: the forest pass, else the dense
+    elimination."""
+    if g._pass is None:
+        g._pass = _tree_pass(g) if is_forest(g) else _bareiss(g)
     return g._pass
 
 
-def _run_tree_pass(g: DualGraph) -> _TreePass | None:
+def _tree_pass(g: DualGraph) -> _TreePass:
+    """The forest pass of g, which must be a forest (is_forest)."""
     dfs = _core_dfs(g)
-    order, parent = dfs.order, dfs.parent
-    # a forest has one core-to-core link fewer than core vertices per tree
-    if dfs.links != len(order) - len(dfs.starts):
-        return None
     core = g._compact()[0]
     inc = g.core_links()
     full: dict[int, int] = {}
     hole: dict[int, int] = {}
     definite = True
     det = 1
-    for v in reversed(order):
+    for v in reversed(dfs.order):
         f_v, h_v = -core[v], 1
-        up = parent[v][0]
+        up = dfs.parent[v][0]
         for w, ids in inc[v]:
             if w is None:
                 f, h = _through_run(1, 0, len(ids))
@@ -675,7 +657,7 @@ def _run_tree_pass(g: DualGraph) -> _TreePass | None:
             det *= f_v
     for ids in dfs.pure:
         det *= len(ids) + 1
-    return _TreePass(core, order, parent, inc, full, hole, dfs.pure, definite, det)
+    return _TreePass(full, hole, definite, det)
 
 
 @dataclass
@@ -725,7 +707,9 @@ def _bareiss(g: DualGraph) -> _DensePass:
 
 
 def is_forest(g: DualGraph) -> bool:
-    return _tree_pass(g) is not None
+    # a forest has one core-to-core link fewer than core vertices per tree
+    dfs = _core_dfs(g)
+    return dfs.links == len(dfs.order) - len(dfs.starts)
 
 
 def is_tree(g: DualGraph) -> bool:
@@ -949,19 +933,21 @@ def shape_report(g: DualGraph) -> ShapeReport:
 # -- isomorphism of weighted marked forests ----------------------------------
 
 
-def _component_centers(adj: dict[int, list[int]], comp: list[int]) -> list[int]:
-    """The 1 or 2 centers of the tree comp, by iterative leaf peeling."""
-    inner = {v: len(adj[v]) for v in comp}
+def _component_centers(inc: dict[int, list[_End]], comp: list[int]) -> list[int]:
+    """The 1 or 2 centers of the core tree comp, by iterative leaf peeling
+    over its core links (inc, as core_links())."""
+    inner = {v: sum(w is not None for w, _ in inc[v]) for v in comp}
     current = [v for v in comp if inner[v] <= 1]
     remaining = len(comp)
     while remaining > 2:
         remaining -= len(current)
         nxt = []
         for v in current:
-            for u in adj[v]:
-                inner[u] -= 1
-                if inner[u] == 1:
-                    nxt.append(u)
+            for u, _ in inc[v]:
+                if u is not None:
+                    inner[u] -= 1
+                    if inner[u] == 1:
+                        nxt.append(u)
         current = nxt
     return sorted(current)
 
@@ -1026,11 +1012,10 @@ def canonical_form(g: DualGraph) -> tuple:
         raise DomainError("canonical form is only defined for forests")
     core = g._compact()[0]
     inc = g.core_links()
-    adj = {v: [w for w, _ in ends if w is not None] for v, ends in inc.items()}
     trees, chains = [], []
     for comp in _core_components(g):
         if comp.core:
-            centers = _component_centers(adj, comp.core)
+            centers = _component_centers(inc, comp.core)
             key = {r: (core[r], r == g.c, len(inc[r])) for r in centers}
             least = min(key.values())
             trees.append(min(_rooted_code(g, r) for r in centers if key[r] == least))

@@ -346,26 +346,30 @@ def canonical_form_dfs(g):
     )
 
 
-def solve_forest_fraction(tp):
+def solve_forest_fraction(g, tp):
     """The forest adjunction solve in Fractions, from the library's integer
-    tree pass (its order, links and pivots full/hole).  Pieces are
+    tree pass (its pivots full/hole) and the core DFS it ran over (order,
+    parents, pure chains), with the core weights and links of g.  Pieces are
     (ids, first, step): alpha at ids[k] is first + k * step, listed in the
     library's piece order.  The reference for canonical._solve_forest, which
     keeps the same progressions scaled to integers."""
-    from dualgraph.graphs import _through_run
+    from dualgraph.graphs import _core_dfs, _through_run
 
+    dfs = _core_dfs(g)
+    order, parent = dfs.order, dfs.parent
+    weights = g._compact()[0]
     zero = Fraction(0)
-    pieces = [(run, zero, zero) for run in tp.pure]
+    pieces = [(run, zero, zero) for run in dfs.pure]
     full, hole = tp.full, tp.hole
-    loads = {v: Fraction(-tp.weights[v] - 2) for v in tp.order}
-    for v in reversed(tp.order):
-        p, run = tp.parent[v]
+    loads = {v: Fraction(-weights[v] - 2) for v in order}
+    for v in reversed(order):
+        p, run = parent[v]
         if p is not None:
             top = _through_run(full[v], hole[v], len(run))[0]
             loads[p] += loads[v] * hole[v] / top
     alpha = {}
-    for v in tp.order:
-        p, run = tp.parent[v]
+    for v in order:
+        p, run = parent[v]
         if p is None:
             alpha[v] = loads[v] * hole[v] / full[v]
         else:
@@ -376,8 +380,9 @@ def solve_forest_fraction(tp):
                 pieces.append((run, ap + step, step))
             alpha[v] = ap + (len(run) + 1) * step
         pieces.append(((v,), alpha[v], zero))
-    for v in tp.order:
-        for w, run in tp.links[v]:
+    links = g.core_links()
+    for v in order:
+        for w, run in links[v]:
             if w is None:
                 step = -alpha[v] / (len(run) + 1)
                 pieces.append((run, alpha[v] + step, step))
@@ -400,7 +405,7 @@ def _solve_fraction(gD):
     if not elim.definite:
         raise NotContractible("intersection form is not negative definite")
     if isinstance(elim, _TreePass):
-        pieces = solve_forest_fraction(elim)
+        pieces = solve_forest_fraction(gD, elim)
     else:
         pieces = [
             ((v,), Fraction(x, elim.det), Fraction(0))

@@ -379,8 +379,8 @@ def test_defects_name_the_first_bad_vertex(monkeypatch):
     (c_adj,) = g.neighbors(g.c)
 
     def bend(change):
-        def broken(tp):
-            pieces = solve(tp)
+        def broken(gD, tp):
+            pieces = solve(gD, tp)
             for i, piece in enumerate(pieces):
                 if len(piece[0]) > 1 and c_adj not in piece[0]:
                     pieces[i] = change(*piece)

@@ -99,7 +99,7 @@ def test_graph_ktype_trivial_instance(capsys, tmp_path):
 
 
 def test_a_library_defect_is_exit_4(capsys, tmp_path, monkeypatch):
-    def broken(tp):
+    def broken(gD, tp):
         raise InternalDefect("adjunction solve produced negative coefficient at 2")
 
     monkeypatch.setattr(canonical, "_solve_forest", broken)
@@ -236,6 +236,20 @@ def test_verify_failures_exit_3(capsys, monkeypatch):
     assert json.loads(out)["pass"] is False
 
 
+def test_verify_unwritable_json_path_is_exit_2_before_any_suite(
+    capsys, monkeypatch, tmp_path
+):
+    def refuse(budget):
+        raise AssertionError("a suite ran before the report path was opened")
+
+    monkeypatch.setattr(cli, "verify_all", refuse)
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--json", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: line 0: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "everything"])
@@ -253,6 +267,25 @@ def test_module_invocation_round_trip():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"adjoint": "[3]"}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin", "closed stdin"])
+def test_unreadable_input_is_one_error_line(source, tmp_path):
+    # non-UTF-8 bytes in a file or on stdin, or no stdin at all (`<&-`)
+    path = tmp_path / "g.dgn"
+    path.write_bytes(b"v 1 -2\n\xff\xfe\n")
+    arg = str(path) if source == "file" else "-"
+    with open(path, "rb") as stdin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualgraph.cli", "graph", "det", arg],
+            stdin=stdin,
+            capture_output=True,
+            preexec_fn=(lambda: os.close(0)) if source == "closed stdin" else None,
+        )
+    name = str(path) if source == "file" else "stdin"
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(f"error: line 0: cannot read {name}: ".encode())
+    assert proc.stderr.count(b"\n") == 1
 
 
 def test_an_adjoint_over_the_cap_is_refused_at_once():

@@ -223,6 +223,7 @@ class TestValidation:
         [
             (dict(family=0, n=2), "family must be"),
             (dict(family=8, n=2), "family must be"),
+            (dict(family=True, n=2), "family must be"),
             (dict(family=1, n=1), "n >= 2"),
             (dict(family=1, n=2, l=0), "does not take"),
             (dict(family=3, A=(2,), n=2), "requires field 'l'"),
@@ -270,6 +271,7 @@ class TestJson:
         [
             ({"family": 1, "n": 2, "q": 1}, "unexpected field"),
             ({"n": 2}, "needs a 'family'"),
+            ({"family": 1.0, "n": 2}, "family must be"),
             ({"family": 1, "n": True}, "must be an integer"),
             ({"family": 2, "A": [2, "x"], "n": 2}, "list of integers"),
             ([1, 2], "JSON object"),
