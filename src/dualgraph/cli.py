@@ -49,7 +49,18 @@ _EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as shells report a closed pipe
 
 
 def _emit(doc) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    """Print doc as JSON, with each Fraction as its str."""
+    print(_printed(json.dumps, doc, sort_keys=True, indent=2, default=str))
+
+
+def _printed(convert, *args, **kwargs) -> str:
+    """The text convert makes of a result; a number with more digits than the
+    interpreter converts to text (sys.get_int_max_str_digits) is a
+    DomainError."""
+    try:
+        return convert(*args, **kwargs)
+    except ValueError as exc:
+        raise DomainError(f"result too long to print: {exc}") from None
 
 
 def _read(arg: str) -> str:
@@ -75,6 +86,8 @@ def _load_spec(arg: str) -> FamilyInstance:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid spec JSON: {exc.msg}")
+    except ValueError as exc:  # an integer with too many digits
+        raise ParseError(1, f"invalid spec JSON: {exc}")
     return FamilyInstance.from_json_dict(doc)
 
 
@@ -99,12 +112,13 @@ def _cmd_twig_adjoint(args) -> int:
 
 
 def _cmd_twig_inductance(args) -> int:
-    _emit({"e": str(inductance(parse_twig(args.twig)))})
+    _emit({"e": inductance(parse_twig(args.twig))})
     return 0
 
 
 def _cmd_twig_from_e(args) -> int:
-    _emit({"twig": format_twig(twig_from_inductance(_parse_fraction(args.value)))})
+    twig = twig_from_inductance(_parse_fraction(args.value))
+    _emit({"twig": _printed(format_twig, twig)})
     return 0
 
 
@@ -125,18 +139,18 @@ def _cmd_graph_det(args) -> int:
 def _cmd_graph_dnatural(args) -> int:
     g = _load_graph(args.graph)
     alpha = compute_dnatural(g).coefficients
-    _emit({"alpha": [[v, str(alpha[v])] for v in sorted(alpha)]})
+    _emit({"alpha": [[v, alpha[v]] for v in sorted(alpha)]})
     return 0
 
 
 def _cmd_graph_ktype(args) -> int:
     ktype, pairing = k_type_report(_load_graph(args.graph))
-    _emit({"ktype": ktype.value, "pairing": str(pairing)})
+    _emit({"ktype": ktype.value, "pairing": pairing})
     return 0
 
 
 def _cmd_graph_contract(args) -> int:
-    _emit({"graph": serialize_dgn(contract_all(_load_graph(args.graph)))})
+    _emit({"graph": _printed(serialize_dgn, contract_all(_load_graph(args.graph)))})
     return 0
 
 
@@ -153,7 +167,7 @@ def _cmd_graph_shape(args) -> int:
 def _cmd_family_build(args) -> int:
     spec = _load_spec(args.spec)
     g = build_family(spec, strict=not args.allow_noncontractible)
-    _emit({"graph": serialize_dgn(g)})
+    _emit({"graph": _printed(serialize_dgn, g)})
     return 0
 
 

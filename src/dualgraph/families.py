@@ -173,7 +173,13 @@ def validate_family(spec: FamilyInstance, strict: bool = True) -> None:
 
 class _Assembler:
     """Vertices get fresh sequential ids in construction order; (-2)-runs are
-    recorded as id ranges, so the cost does not depend on their length."""
+    recorded as id ranges, so the cost does not depend on their length.
+
+    It emits the canonical compact form but for the order of its links: each
+    link runs from an older vertex to a newer one or to a free end, through
+    an ascending range, and every node but a (-2) of degree 1 or 2 is core
+    (family (1) and (2) with n = 2, and (2) with A ending in 2).
+    """
 
     def __init__(self):
         self.nodes: dict[int, int] = {}
@@ -225,7 +231,7 @@ class _Assembler:
         return prev
 
     def graph(self) -> DualGraph:
-        return DualGraph._from_parts(self.nodes, self.links, self.c)
+        return DualGraph._from_oriented(self.nodes, self.links, self.c)
 
 
 def _neg(twig: Twig) -> list[int]:

@@ -14,8 +14,10 @@ vertices of one maximal run, ordered from the core end a to the core end b, a
 range when consecutive ids step by +-1 and a tuple otherwise; None is a free
 end and an empty run is a direct edge between two core vertices.  Links are
 oriented and sorted canonically, so equal graphs have equal compact forms.
-The family builders emit this form and delete() carries it across, in time
-independent of the run lengths; the vertex-level views (weights, edges,
+The family builders emit this form with their links oriented, so it is only
+sorted, and delete() cuts it and re-joins it only around the deleted vertex;
+either reruns _normalize only when a (-2)-vertex must join a run.  Both take
+time independent of the run lengths; the vertex-level views (weights, edges,
 adjacency, DGN) are expanded from it lazily, once.  Neighbours, degrees and
 edge tests are read from the compact form whenever the graph holds it, so
 they expand nothing.  A graph given as vertex-level data keeps that data and
@@ -49,6 +51,7 @@ of which it keeps O(n) results.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
@@ -119,6 +122,20 @@ class DualGraph:
         """Compact parts whose runs need not be maximal yet; see _normalize."""
         g = cls.__new__(cls)
         g._init(*_normalize(nodes, links), None, None, c)
+        return g
+
+    @classmethod
+    def _from_oriented(cls, nodes: dict[int, int], links: list[_Link], c):
+        """Compact parts whose links are oriented as the canonical form has
+        them: a < b or a free end b, and runs as ranges.  Unless some node
+        weighs -2 with degree 1 or 2, which _normalize then absorbs into the
+        runs, every node is core and every run maximal, so the links are only
+        sorted."""
+        ends = [end for a, b, _ in links for end in (a, b)]
+        if any(w == -2 and 0 < ends.count(v) < 3 for v, w in nodes.items()):
+            return cls._from_parts(nodes, links, c)
+        g = cls.__new__(cls)
+        g._init(nodes, tuple(sorted(links, key=_link_key)), None, None, c)
         return g
 
     def _compact(self) -> tuple[dict[int, int], tuple[_Link, ...]]:
@@ -272,22 +289,56 @@ class DualGraph:
     def delete(self, v: int) -> "DualGraph":
         """The graph with vertex v (and its edges) removed.
 
-        A graph holding the compact form has it cut and re-joined around v in
-        time independent of the run lengths; its vertex-level data is then
-        expanded from the cut form if and when it is asked for.  A graph
-        holding only vertex-level data has that filtered, in order.
+        A graph holding the compact form has it re-joined only around v, in
+        time independent of the run lengths.  The links that do not touch v
+        keep their places; the pieces of those that do, at most deg(v) of
+        them or two when v splits a run, are oriented as _normalize orients
+        links and inserted in order.  _normalize runs only when a (-2) core
+        end might now be absorbed: when it lost a direct edge to v, or ends
+        the run that v split.  The vertex-level data is expanded from the
+        cut form if and when it is asked for.  A graph holding only
+        vertex-level data has that filtered, in order.
         """
         if v not in self:
             raise ValueError(f"no vertex {v}")
         c = None if self._c == v else self._c
         g = DualGraph.__new__(DualGraph)
-        if self._core is not None:
-            core, links = _normalize(*_cut(self._core, self._links, v))
-            g._init(core, links, None, None, c)
-        else:
+        if self._core is None:
             weights = {u: wt for u, wt in self._weights.items() if u != v}
             edges = tuple((a, b) for a, b in self._edges if v not in (a, b))
             g._init(None, None, weights, edges, c)
+            return g
+        core = self._core
+        links: list[_Link] = []  # the links away from v, still sorted
+        pieces: list[_Link] = []
+        ends: list[int | None] = []  # core ends that might now be absorbed
+        if v in core:
+            core = {u: w for u, w in core.items() if u != v}
+            for link in self._links:
+                a, b, ids = link
+                if a != v and b != v:
+                    links.append(link)
+                elif ids:
+                    pieces.append((None if a == v else a, None if b == v else b, ids))
+                else:
+                    ends.append(b if a == v else a)
+        else:
+            links += self._links
+            i = next(i for i, (_, _, ids) in enumerate(links) if v in ids)
+            a, b, ids = links.pop(i)
+            k = ids.index(v)
+            pieces = [p for p in ((a, None, ids[:k]), (None, b, ids[k + 1 :])) if p[2]]
+            ends = [a, b]
+        if any(u is not None and core[u] == -2 for u in ends):
+            core, links = _normalize(core, links + pieces)
+        else:
+            extra, pieces = _orient(pieces)
+            if extra:
+                core = {**core, **extra}
+            for link in pieces:
+                insort(links, link, key=_link_key)
+            links = tuple(links)
+        g._init(core, links, None, None, c)
         return g
 
     def minus_c(self) -> "DualGraph":
@@ -379,7 +430,19 @@ def _normalize(
     if len(core) < len(nodes):
         links = _walk_runs(core, links, inc)
     # else nothing is absorbed: every link already is a maximal run
-    extra = []
+    extra, out = _orient(links)
+    out.sort(key=_link_key)
+    core.update(extra)
+    return core, tuple(out)
+
+
+def _orient(links: Iterable[_Link]) -> tuple[dict[int, int], list[_Link]]:
+    """The links as the canonical form holds them, in the given order: a run
+    between core ends from the smaller one (a self-loop from its smaller end
+    id), a pendant run from its core end, a free path from its smaller end
+    id, and ids as a range when they step by +-1.  A free path of one id is
+    an isolated (-2)-vertex, returned apart as core."""
+    extra = {}
     out = []
     for a, b, ids in links:
         if type(ids) is not range:
@@ -387,16 +450,14 @@ def _normalize(
         if b is None:
             if a is None:
                 if len(ids) == 1:
-                    extra.append((ids[0], -2))  # an isolated (-2)-vertex
+                    extra[ids[0]] = -2
                     continue
                 if ids[0] > ids[-1]:
                     ids = ids[::-1]
         elif a is None or a > b or (a == b and ids[0] > ids[-1]):
             a, b, ids = b, a, ids[::-1]
         out.append((a, b, ids))
-    out.sort(key=_link_key)
-    core.update(extra)
-    return core, tuple(out)
+    return extra, out
 
 
 def _walk_runs(
@@ -460,31 +521,6 @@ def _walk_runs(
             core[ring[0]] = -2
             out.append((ring[0], ring[0], _join([ring[1:]])))
     return out
-
-
-def _cut(
-    core: dict[int, int], links: tuple[_Link, ...], v: int
-) -> tuple[dict[int, int], list[_Link]]:
-    """Compact parts of the graph minus v, before re-joining the runs."""
-    if v in core:
-        pieces = []
-        for a, b, ids in links:
-            a = None if a == v else a
-            b = None if b == v else b
-            if ids or (a is not None and b is not None):
-                pieces.append((a, b, ids))
-        return {u: w for u, w in core.items() if u != v}, pieces
-    pieces = []
-    for a, b, ids in links:
-        if v not in ids:
-            pieces.append((a, b, ids))
-            continue
-        k = ids.index(v)
-        if k:
-            pieces.append((a, None, ids[:k]))
-        if k + 1 < len(ids):
-            pieces.append((None, b, ids[k + 1 :]))
-    return core, pieces
 
 
 def chain_graph(

@@ -149,8 +149,11 @@ def parse_twig(text: str) -> Twig:
         m = _ITEM_RE.match(item.replace(" ", ""))
         if not m:
             raise ParseError(1, f"bad twig entry {item.strip()!r}")
-        count = int(m.group(1)) if m.group(1) else 1
-        value = int(m.group(2))
+        try:
+            count = int(m.group(1)) if m.group(1) else 1
+            value = int(m.group(2))
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(1, f"bad twig entry: {exc}")
         if value < 1:
             raise ParseError(1, f"twig weights must be positive, got {value}")
         items.append((value, count))

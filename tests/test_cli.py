@@ -62,6 +62,50 @@ def test_twig_from_e_domain_error_is_exit_1(capsys):
     assert "error:" in err
 
 
+_DIGITS = "1" * 5000  # past the interpreter's limit of 4,300 digits
+_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter converts integers of any length",
+)
+
+
+@_digit_limit
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # input that cannot be read: a parse error
+        (["twig", "det", f"[{_DIGITS}]"], 2),
+        (["twig", "adjoint", f"[3,{_DIGITS}]"], 2),
+        (["twig", "inductance", f"[{_DIGITS}*2]"], 2),
+        (["family", "build", f'{{"family": 3, "A": [2], "n": 2, "l": {_DIGITS}}}'], 2),
+        # a result too long to print: a domain error
+        (["twig", "from-e", "1e-5000"], 1),
+        (["twig", "det", "[1200*99999]"], 1),
+        (["twig", "inductance", "[1200*99999]"], 1),
+    ],
+    ids=[
+        "det entry", "adjoint entry", "inductance count", "family spec",
+        "from-e result", "det result", "inductance result",
+    ],
+)
+def test_an_integer_too_long_for_text_is_one_error_line(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@_digit_limit
+def test_a_contracted_weight_too_long_for_text_is_exit_1(capsys, monkeypatch):
+    # 4,300 nines still parse; the blow-down makes the weight 10**4300
+    nines = "9" * 4300
+    dgn = f"v 1 {nines}\nv 2 -1\nv 3 -5\ne 1 2\ne 2 3\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(dgn))
+    code, out, err = run_cli(capsys, "graph", "contract", "-")
+    assert code == 1 and out == ""
+    assert err.startswith("error: result too long to print: ")
+    assert err.count("\n") == 1
+
+
 # -- graph subcommands ------------------------------------------------------------
 
 

@@ -920,3 +920,108 @@ def test_compact_form_round_trips_and_deletes_like_vertex_data(h):
         assert cut.c == plain.c
         assert cut._compact() == plain._compact()
         assert cut.weights == plain.weights and cut.edges == plain.edges
+
+
+def _cut_like_vertex_data(g, v):
+    """g.delete(v) on g's compact form; it must equal the vertex-level
+    reference, run types (range or tuple) included."""
+    g._compact()
+    cut = g.delete(v)
+    assert cut._weights is None  # re-joined on the compact form
+    want = DualGraph(g.weights, g.edges, g.c).delete(v)._compact()
+    assert cut._compact() == want
+    return want
+
+
+def test_delete_absorbs_a_core_neighbour_left_with_degree_two():
+    # the (-2) center loses its direct edge to 3 and joins the run 1 .. 2
+    g = DualGraph({0: -2, 1: -3, 2: -3, 3: -4}, [(0, 1), (0, 2), (0, 3)])
+    assert _cut_like_vertex_data(g, 3) == ({1: -3, 2: -3}, ((1, 2, range(0, 1)),))
+
+
+def test_delete_absorbs_a_cycle_core_vertex_left_with_degree_one():
+    # a core-free 4-cycle keeps 1 as core; cutting next to it leaves a path
+    g = DualGraph({1: -2, 2: -2, 3: -2, 4: -2}, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    assert g._compact() == ({1: -2}, ((1, 1, range(2, 5)),))
+    assert _cut_like_vertex_data(g, 2) == ({}, ((None, None, (1, 4, 3)),))
+
+
+def test_delete_cuts_the_run_of_a_core_free_cycle():
+    g = DualGraph(
+        {v: -2 for v in range(1, 6)}, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+    )
+    assert _cut_like_vertex_data(g, 3) == ({}, ((None, None, (2, 1, 5, 4)),))
+
+
+def test_delete_leaves_an_isolated_minus_two_vertex():
+    g = DualGraph({1: -3, 2: -2, 3: -4}, [(1, 2), (1, 3)])
+    assert _cut_like_vertex_data(g, 1) == ({3: -4, 2: -2}, ())
+
+
+def test_delete_turns_a_consecutive_piece_of_a_tuple_run_into_a_range():
+    g = DualGraph(
+        {0: -3, 5: -2, 1: -2, 2: -2, 3: -2, 9: -3},
+        [(0, 5), (5, 1), (1, 2), (2, 3), (3, 9)],
+    )
+    assert g._compact()[1] == ((0, 9, (5, 1, 2, 3)),)
+    assert _cut_like_vertex_data(g, 5) == (
+        {0: -3, 9: -3}, ((9, None, range(3, 0, -1)),)
+    )
+
+
+def test_delete_frees_the_self_loop_run_of_a_core_vertex():
+    g = DualGraph(
+        {0: -3, 1: -2, 2: -2, 3: -2, 4: -5}, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]
+    )
+    assert _cut_like_vertex_data(g, 0) == (
+        {4: -5}, ((None, None, range(1, 4)),)
+    )
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        FamilyInstance(3, A=(2,), n=2, l=0),
+        FamilyInstance(5, A=(2,), n=3, l=0, b=(3,), m=0),
+    ],
+    ids=["family 3, l=0", "family 5, m=0"],
+)
+def test_minus_c_absorbs_the_minus_two_vertex_next_to_c(s):
+    # the (-2) center of (3), or w = -(m+2) of (5), loses its edge to C
+    g = build_family(s)
+    assert g.minus_c()._compact() == _cut_like_vertex_data(g, g.c)
+
+
+_NORMALIZED_AT_MOST_ONCE = [
+    FamilyInstance(1, n=2),
+    FamilyInstance(1, n=4),
+    FamilyInstance(2, A=(2,), n=2),
+    FamilyInstance(2, A=(3, 2), n=3),
+    FamilyInstance(2, A=(2, 3), n=4),
+    FamilyInstance(3, A=(2,), n=2, l=0),
+    FamilyInstance(3, A=(3, 2), n=2, l=7),
+    FamilyInstance(4, A=(2,), n=2, l=0, b=(3,)),
+    FamilyInstance(4, A=(2, 3), n=3, l=2, b=(4, 2)),
+    FamilyInstance(5, A=(2,), n=3, l=0, b=(3,), m=0),
+    FamilyInstance(5, A=(3,), n=2, l=3, b=(5, 2, 2), m=2),
+    FamilyInstance(6, A=(2,), n=2, b=(3,)),
+    FamilyInstance(6, A=(3, 2), n=3, b=(4, 3)),
+    FamilyInstance(7, A=(2,), n=2, b=(3,), m=0),
+    FamilyInstance(7, A=(2, 2), n=5, b=(3, 2), m=4),
+]
+
+
+def test_a_family_instance_is_normalized_at_most_once(monkeypatch):
+    calls = []
+    normalize = graphs._normalize
+
+    def counted(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(graphs, "_normalize", counted)
+    assert {s.family for s in _NORMALIZED_AT_MOST_ONCE} == set(range(1, 8))
+    for s in _NORMALIZED_AT_MOST_ONCE:
+        calls.clear()
+        build_family(s).minus_c()  # the build and the cut together
+        assert len(calls) <= 1, s
