@@ -13,7 +13,8 @@ integer (Cramer's rule).  On a forest the pass is the integer leaf-first one,
 whose pivots are full/hole and which crosses (-2)-runs in closed form; the
 scaled coefficients along any run form an arithmetic progression, kept as
 its first entry and step, and every division on the way is exact.  A graph
-with a cycle carries D * alpha from its one fraction-free elimination.
+with a cycle gets the same pieces from its one sparse elimination over the
+core: D * alpha at each core vertex, and a progression along each run.
 k_type_report and the contraction suite read the C-pairing from the
 progressions at their ends, in time independent of the run lengths;
 compute_dnatural expands them, building one Fraction per vertex.
@@ -33,7 +34,9 @@ from .errors import (
     NotMinimalResolutionGraph,
     OutOfScopeBoundary,
 )
-from .graphs import DualGraph, _core_dfs, _elimination, _through_run, _TreePass
+from .graphs import (
+    DualGraph, _core_dfs, _elimination, _through_run, _TreePass, is_forest,
+)
 
 
 @dataclass(frozen=True, eq=True)
@@ -54,8 +57,9 @@ class KType(Enum):
 
 # (ids, first, step, D): alpha at ids[k] is (first + k * step) / D, with D > 0
 # the det(-I) of a component (or of a graph with a cycle), so all are integers.
-# A solution lists such pieces, one per core vertex and one per run, in the
-# order of the expanded coefficients; no vertex is in two pieces.
+# A solution lists such pieces, one per core vertex and one per run; no vertex
+# is in two pieces.  A forest's come in the order of its expanded
+# coefficients, and a graph with a cycle has its coefficients listed by id.
 _Piece = tuple[Sequence[int], int, int, int]
 
 
@@ -67,7 +71,7 @@ def compute_dnatural(gD: DualGraph) -> DNatural:
     solution is guaranteed nonnegative for such graphs; a negative entry
     would mean the solver itself is broken and raises InternalDefect.
     """
-    return DNatural(_per_vertex(_solve(gD)))
+    return DNatural(_per_vertex(_solve(gD), gD))
 
 
 def _solve(gD: DualGraph) -> list[_Piece]:
@@ -75,11 +79,12 @@ def _solve(gD: DualGraph) -> list[_Piece]:
     arithmetic progression."""
     if gD.c is not None:
         raise NotMinimalResolutionGraph("graph carries a C mark")
+    core, links = gD._compact()
     # run vertices all weigh -2, so the core weights decide
-    for v, w in sorted(gD._compact()[0].items()):
+    for v, w in sorted(core.items()):
         if w > -2:
             raise NotMinimalResolutionGraph(f"vertex {v} has weight {w} > -2")
-    if len(gD) == 0:
+    if not core and not links:  # empty; len() could pass sys.maxsize
         return []
     elim = _elimination(gD)
     if not elim.definite:
@@ -87,21 +92,22 @@ def _solve(gD: DualGraph) -> list[_Piece]:
     if isinstance(elim, _TreePass):
         pieces = _solve_forest(gD, elim)
     else:
-        pieces = [((v,), x, 0, elim.det) for v, x in zip(gD.vertex_ids, elim.scaled)]
+        pieces = elim.pieces
     # a progression is smallest at one of its ends
     if any(
         first < 0 or (step < 0 and first + (len(ids) - 1) * step < 0)
         for ids, first, step, _ in pieces
     ):
-        negative = next(v for v, a in _per_vertex(pieces).items() if a < 0)
+        negative = next(v for v, a in _per_vertex(pieces, gD).items() if a < 0)
         raise InternalDefect(
             f"adjunction solve produced negative coefficient at {negative}"
         )
     return pieces
 
 
-def _per_vertex(pieces: list[_Piece]) -> dict[int, Fraction]:
-    """One coefficient per vertex."""
+def _per_vertex(pieces: list[_Piece], gD: DualGraph) -> dict[int, Fraction]:
+    """One coefficient per vertex of gD: in the order of a forest's pieces,
+    and by id on a graph with a cycle."""
     alpha: dict[int, Fraction] = {}
     for ids, first, step, scale in pieces:
         if not step:
@@ -110,7 +116,7 @@ def _per_vertex(pieces: list[_Piece]) -> dict[int, Fraction]:
             for v in ids:
                 alpha[v] = Fraction(first, scale)
                 first += step
-    return alpha
+    return alpha if is_forest(gD) else dict(sorted(alpha.items()))
 
 
 def _solve_forest(gD: DualGraph, tp: _TreePass) -> list[_Piece]:
@@ -220,7 +226,9 @@ def k_type_report(g: DualGraph) -> tuple[KType, Fraction]:
             for ids, first, step, scale in pieces
         ):
             fractional = next(
-                v for v, a in _per_vertex(pieces).items() if a.denominator != 1
+                v
+                for v, a in _per_vertex(pieces, g.minus_c()).items()
+                if a.denominator != 1
             )
             raise InternalDefect(
                 "pairing is 1 but coefficient at "

@@ -59,8 +59,11 @@ def _printed(convert, *args, **kwargs) -> str:
     DomainError."""
     try:
         return convert(*args, **kwargs)
-    except ValueError as exc:
-        raise DomainError(f"result too long to print: {exc}") from None
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(
+            f"result too long to print: more than {limit} digits"
+        ) from None
 
 
 def _read(arg: str) -> str:
@@ -86,8 +89,11 @@ def _load_spec(arg: str) -> FamilyInstance:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid spec JSON: {exc.msg}")
-    except ValueError as exc:  # an integer with too many digits
-        raise ParseError(1, f"invalid spec JSON: {exc}")
+    except ValueError:  # an integer with too many digits
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            1, f"invalid spec JSON: an integer has more than {limit} digits"
+        )
     return FamilyInstance.from_json_dict(doc)
 
 

@@ -33,6 +33,7 @@ in w instead of C.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -158,11 +159,16 @@ def validate_family(spec: FamilyInstance, strict: bool = True) -> None:
             raise InvalidFamilyParams("b must be a nonempty admissible twig")
         if spec.b[0] < 3:
             raise InvalidFamilyParams("b_1 >= 3 violated")
+    # a run is a range of ids, and a range holds at most sys.maxsize
     if spec.m is not None and spec.m < 0:
         raise InvalidFamilyParams("m >= 0 violated")
+    if spec.m is not None and spec.m > sys.maxsize:
+        raise InvalidFamilyParams(f"m <= {sys.maxsize} violated")
     if spec.l is not None:
         if spec.l < 0:
             raise InvalidFamilyParams("l >= 0 violated")
+        if spec.l > sys.maxsize:
+            raise InvalidFamilyParams(f"l <= {sys.maxsize} violated")
         if strict:
             bound = l_bound(spec.A, spec.n)
             if spec.l > bound:

@@ -44,9 +44,10 @@ run of j (-2)-vertices maps a child's (F, H) to ((j+1)F - jH, jF - (j-1)H),
 and a pendant run contributes (j+1, j).  Leaf-first Schur elimination has the
 pivots full/hole, so I is negative definite iff every full is positive; along
 a run full is linear in the run index, so its two ends decide.  det(-I) is the
-product of the root fulls.  A graph with a cycle gets one fraction-free
-elimination of -I with the adjunction right-hand side appended (_bareiss),
-of which it keeps O(n) results.
+product of the root fulls.  A graph with a cycle gets one sparse
+fraction-free elimination of -I over its compact core (_bareiss): each run in
+closed form, then the core leaf first, with no dense elimination under the
+canonical vertex ordering; its cost follows the core size plus fill.
 """
 
 from __future__ import annotations
@@ -537,27 +538,7 @@ def chain_graph(
     return DualGraph(weights, edges, c)
 
 
-# -- intersection matrices and determinants -------------------------------
-
-
-@dataclass(frozen=True)
-class IntersectionMatrix:
-    order: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-
-def intersection_matrix(g: DualGraph) -> IntersectionMatrix:
-    """I(g) under the canonical sorted vertex ordering."""
-    order = g.vertex_ids
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    rows = [[0] * n for _ in range(n)]
-    for i, v in enumerate(order):
-        rows[i][i] = g.weight(v)
-    for u, v in g.edges:
-        rows[index[u]][index[v]] = 1
-        rows[index[v]][index[u]] = 1
-    return IntersectionMatrix(order, tuple(tuple(r) for r in rows))
+# -- the core traversal and determinants -----------------------------------
 
 
 @dataclass(slots=True)
@@ -698,48 +679,105 @@ def _tree_pass(g: DualGraph) -> _TreePass:
 
 @dataclass
 class _DensePass:
-    """What a graph with a cycle keeps of its elimination: O(n) results."""
+    """What a graph with a cycle keeps of its sparse core elimination: no
+    dense elimination under the canonical vertex ordering, its cost following
+    the core size plus fill, independent of the run lengths.  pieces are
+    canonical's (ids, D * first, D * step, D): each core vertex and run."""
 
     definite: bool  # every pivot is positive
     det: int  # det(-I)
-    scaled: list[int] | None  # det(-I) * x for -I x = -w - 2, if definite
+    pieces: list[tuple[Sequence[int], int, int, int]] | None  # if definite
 
 
 def _bareiss(g: DualGraph) -> _DensePass:
-    """Fraction-free elimination of -I in the canonical vertex order, with the
-    column -w - 2 appended (Bareiss 1968); rows swap only on a zero pivot.
-    Without a swap the k-th pivot is the k-th leading minor, so -I is positive
-    definite iff every pivot is positive (Sylvester); the last is det(-I).
-    det(-I) * x is then the adjugate applied to -w - 2, which is integral, so
-    the back substitution divides exactly.
+    """Sparse fraction-free elimination (Bareiss 1968) of -I over the core.
+
+    Row v maps core vertices to the entries of D * S, and the key None to the
+    right-hand side -w - 2; S is the Schur complement of the block eliminated
+    so far and D its det(-I).  A link of j (-2)-vertices goes first, in
+    closed form: D grows by j + 1 and only the entries of its ends change
+    (j = 0 is an edge).  The core vertices follow leaf first (Rose 1972).  A
+    row that no pivot touched since D was s is scaled by D / s when read,
+    exactly by Sylvester's identity.  Run pivots are positive, so -I is
+    positive definite iff every core pivot is.  A zero diagonal entry is put
+    off; once all are zero, a row swap gives the pivot and flips the sign.
     """
-    m = intersection_matrix(g)
-    n = len(m.order)
-    a = [[-x for x in row] + [-row[i] - 2] for i, row in enumerate(m.rows)]
-    sign = prev = 1
-    definite = True
-    for k in range(n):
-        definite = definite and a[k][k] > 0
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
+    core, links = g._compact()
+    rows = {v: {v: -w, None: -w - 2} for v, w in core.items()}
+    stamp = dict.fromkeys(core, 1)  # the D each row was last brought to
+    d = 1
+
+    def fresh(v: int) -> dict[int | None, int]:
+        if stamp[v] != d:
+            rows[v] = {c: x * d // stamp[v] for c, x in rows[v].items()}
+            stamp[v] = d
+        return rows[v]
+
+    for a, b, ids in links:
+        j = len(ids)
+        for v in {a, b} - {None}:
+            rows[v] = {c: x * (j + 1) for c, x in fresh(v).items()}
+            stamp[v] = d * (j + 1)
+        if a is not None and a == b:
+            rows[a][a] -= 2 * (j + 1) * d
+        elif a is not None:
+            rows[a][a] -= j * d
+            if b is not None:
+                rows[b][b] -= j * d
+                rows[a][b] = rows[a].get(b, 0) - d
+                rows[b][a] = rows[b].get(a, 0) - d
+        d *= j + 1
+    pending = list(_core_dfs(g).order)  # eliminated from the end
+    done: list[int] = []
+    sign, definite, symmetric = 1, True, True
+    while pending:
+        k = len(pending) - 1
+        while k >= 0 and not rows[pending[k]].get(pending[k]):
+            k -= 1
+        definite = definite and k == len(pending) - 1
+        if k < 0:
+            entries = ((r, c) for r in pending for c, x in rows[r].items() if x)
+            hit = next(((r, c) for r, c in entries if c is not None), None)
+            if hit is None:
                 return _DensePass(False, 0, None)
-            a[k], a[swap], sign = a[swap], a[k], -sign
-        top, pivot = a[k], a[k][k]
-        for row in a[k + 1 :]:
-            f = row[k]
-            row[k + 1 :] = [
-                (x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])
-            ]
-        prev = pivot
-    det = sign * prev
+            r, c = hit
+            rows[r], rows[c], stamp[r], stamp[c] = rows[c], rows[r], stamp[c], stamp[r]
+            sign, symmetric = -sign, False
+            k = pending.index(c)
+        p = pending.pop(k)
+        top = fresh(p)
+        pivot = top[p]
+        definite = definite and pivot > 0
+        if symmetric:  # top's keys are then the rows with an entry at p
+            under = [r for r in top if r is not None and r != p]
+        else:
+            under = [r for r in pending if p in rows[r]]
+        for r in under:
+            row = fresh(r)
+            f = row.pop(p)
+            new = {c: x * pivot for c, x in row.items()}
+            for c, t in top.items():
+                if c != p:
+                    new[c] = new.get(c, 0) - f * t
+            rows[r] = {c: x // d for c, x in new.items()}
+            stamp[r] = pivot
+        d = pivot
+        done.append(p)
+    det = sign * d
     if not definite:
         return _DensePass(False, det, None)
-    scaled = [0] * n
-    for i in reversed(range(n)):
-        s = det * a[i][n] - sum(x * y for x, y in zip(a[i][i + 1 : n], scaled[i + 1 :]))
-        scaled[i] = s // a[i][i]
-    return _DensePass(True, det, scaled)
+    # back substitution gives D * alpha at the core, and a pendant run goes
+    # down to a virtual 0 past its free end (None)
+    y: dict[int | None, int] = {None: 0}
+    for p in reversed(done):
+        s = det * rows[p][None] - sum(x * y[c] for c, x in rows[p].items() if c != p)
+        y[p] = s // rows[p][p]
+    pieces = [((v,), y[v], 0, det) for v in done]
+    for a, b, ids in links:
+        if ids:
+            step = (y[b] - y[a]) // (len(ids) + 1)
+            pieces.append((ids, y[a] + step, step, det))
+    return _DensePass(True, det, pieces)
 
 
 def is_forest(g: DualGraph) -> bool:
@@ -770,9 +808,10 @@ def is_negative_definite(g: DualGraph) -> bool:
     """True iff I(g) is negative definite (exact Sylvester test).
 
     Reads the graph's one pass: the integer pass on a forest's compact form,
-    else the pivots of the dense elimination of -I under the canonical vertex
-    ordering.  Positive definiteness does not depend on the elimination
-    order, so the two routes decide the same predicate.
+    else the pivots of the sparse elimination of -I over the compact core (no
+    dense elimination under the canonical vertex ordering), whose cost follows
+    the core size plus fill, independent of the run lengths.  Definiteness
+    does not depend on the elimination order, so the routes decide the same.
     """
     if any(w >= 0 for w in g._compact()[0].values()):
         # a nonnegative diagonal entry is a nonpositive principal minor of -I

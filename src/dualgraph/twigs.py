@@ -20,6 +20,7 @@ the splice identity, without building it.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import chain, repeat, starmap
 from typing import Iterable, NamedTuple
@@ -152,8 +153,9 @@ def parse_twig(text: str) -> Twig:
         try:
             count = int(m.group(1)) if m.group(1) else 1
             value = int(m.group(2))
-        except ValueError as exc:  # more digits than int() converts
-            raise ParseError(1, f"bad twig entry: {exc}")
+        except ValueError:  # more digits than int() converts
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(1, f"bad twig entry: more than {limit} digits")
         if value < 1:
             raise ParseError(1, f"twig weights must be positive, got {value}")
         items.append((value, count))

@@ -3,9 +3,9 @@
 Everything here works on plain list-of-lists integer matrices so that none of
 the package's elimination code is in the loop, except contract_all_rescan,
 shape_report_dfs, canonical_form_dfs and the Fraction adjunction solve
-(solve_forest_fraction and its readers), which read DualGraphs and the
-library's integer tree pass, and fujita_suite_eager, which runs the library's
-twig functions.  The Fraction twig calculus (inductance_fraction,
+(solve_forest_fraction and its readers), which read DualGraphs and, on a
+forest, the library's integer tree pass, and fujita_suite_eager, which runs
+the library's twig functions.  The Fraction twig calculus (inductance_fraction,
 twig_from_inductance_stepwise, adjoint_fraction) is self-contained.  These
 are the reference implementations the fast code must agree with.
 """
@@ -21,7 +21,8 @@ def dense_det(matrix) -> int:
     n = len(matrix)
     if n == 0:
         return 1
-    a = [[Fraction(x) for x in row] for row in matrix]
+    # entries stay ints until an update makes them Fractions
+    a = [list(row) for row in matrix]
     det = Fraction(1)
     for col in range(n):
         pivot_row = None
@@ -35,11 +36,12 @@ def dense_det(matrix) -> int:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             det = -det
         det *= a[col][col]
-        inv = a[col][col]
+        inv = Fraction(a[col][col])
+        support = [c for c in range(col, n) if a[col][c] != 0]  # skip zeros
         for r in range(col + 1, n):
             if a[r][col] != 0:
                 f = a[r][col] / inv
-                for c in range(col, n):
+                for c in support:
                     a[r][c] -= f * a[col][c]
     assert det.denominator == 1
     return int(det)
@@ -99,15 +101,16 @@ def dense_adjunction_solve(neg_matrix, rhs):
     Returns a list of Fractions.
     """
     n = len(neg_matrix)
-    a = [[Fraction(x) for x in row] for row in neg_matrix]
+    a = [list(row) for row in neg_matrix]  # ints until an update
     b = [Fraction(x) for x in rhs]
     for col in range(n - 1, -1, -1):
-        p = a[col][col]
+        p = Fraction(a[col][col])
         assert p != 0, "singular matrix in oracle"
+        support = [c for c in range(n) if a[col][c] != 0]  # skip zeros
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col] / p
-                for c in range(n):
+                for c in support:
                     a[r][c] -= f * a[col][c]
                 b[r] -= f * b[col]
     return [b[i] / a[i][i] for i in range(n)]
@@ -390,7 +393,8 @@ def solve_forest_fraction(g, tp):
 
 
 def _solve_fraction(gD):
-    """compute_dnatural's checks, errors and pieces, solved in Fractions."""
+    """compute_dnatural's checks, errors and pieces, solved in Fractions: a
+    forest from the library's tree pass, a graph with a cycle densely."""
     from dualgraph.errors import InternalDefect, NotContractible, NotMinimalResolutionGraph
     from dualgraph.graphs import _elimination, _TreePass
 
@@ -407,10 +411,10 @@ def _solve_fraction(gD):
     if isinstance(elim, _TreePass):
         pieces = solve_forest_fraction(gD, elim)
     else:
-        pieces = [
-            ((v,), Fraction(x, elim.det), Fraction(0))
-            for v, x in zip(gD.vertex_ids, elim.scaled)
-        ]
+        order = gD.vertex_ids
+        rhs = [-gD.weight(v) - 2 for v in order]
+        alpha = dense_adjunction_solve(graph_neg_matrix(gD), rhs)
+        pieces = [((v,), a, Fraction(0)) for v, a in zip(order, alpha)]
     alpha = _per_vertex_fraction(pieces)
     negative = [v for v, a in alpha.items() if a < 0]
     if negative:

@@ -1,14 +1,17 @@
 """Graph core: matrices, determinants, definiteness, blow-downs, shapes."""
 
+import inspect
 import itertools
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualgraph import graphs
-from dualgraph.canonical import compute_dnatural, k_type_report
+from dualgraph.canonical import KType, compute_dnatural, k_type_report
 from dualgraph.dgn import parse_dgn, serialize_dgn
 from dualgraph.errors import (
     DomainError,
@@ -27,7 +30,6 @@ from dualgraph.graphs import (
     chain_graph,
     contract_all,
     graph_d,
-    intersection_matrix,
     is_forest,
     is_negative_definite,
     is_tree,
@@ -96,13 +98,7 @@ def test_delete_drops_mark_with_vertex():
     assert g.delete(2).c == 1
 
 
-# -- intersection matrices and determinants --------------------------------
-
-
-def test_intersection_matrix_of_chain():
-    m = intersection_matrix(neg_chain([2, 3]))
-    assert m.order == (1, 2)
-    assert m.rows == ((-2, 1), (1, -3))
+# -- determinants ------------------------------------------------------------
 
 
 def test_signed_determinant_examples():
@@ -253,26 +249,56 @@ def test_negdef_agrees_with_charpoly_oracle():
 
 @st.composite
 def _cyclic_graphs(draw):
-    """Small connected graphs with at least one cycle: a random spanning tree
-    plus chords, scattered ids and weights in -5..0 (or -5..-2, so that the
-    adjunction solve applies), so definite, indefinite and singular -I all
-    occur, and zero pivots force row swaps."""
+    """Small graphs with at least one cycle: a random spanning tree on 3 to 8
+    core candidates plus chords, scattered ids and weights in -5..0 (or
+    -5..-2, so that the adjunction solve applies), so definite, indefinite
+    and singular -I all occur, and zero pivots force row swaps.  Tree edges
+    and chords may carry (-2)-runs of 0..40, and there may be a self-loop
+    run, a pendant run and a second run between two joined vertices; the
+    runs share a budget of 40 vertices, which keeps the dense oracles cheap."""
     n = draw(st.integers(3, 8))
     ids = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True))
     top = draw(st.sampled_from((0, -2)))
     ws = draw(st.lists(st.integers(-5, top), min_size=n, max_size=n))
+    weights = dict(zip(ids, ws))
+    edges = []
+    budget = [40]
+
+    def join(u, v, least=0):
+        """Join u to v (None: a free end) through a run of least or more."""
+        j = draw(st.integers(least, max(least, budget[0])))
+        budget[0] -= j
+        prev = u
+        first = 41 + len(weights) - n  # fresh ids, past the core's
+        for x in range(first, first + j):
+            weights[x] = -2
+            edges.append((prev, x))
+            prev = x
+        if v is not None:
+            edges.append((prev, v))
+
     tree = [(ids[i], ids[draw(st.integers(0, i - 1))]) for i in range(1, n)]
     keys = {frozenset(e) for e in tree}
     others = [p for p in itertools.combinations(ids, 2) if frozenset(p) not in keys]
     chords = draw(
         st.lists(st.sampled_from(others), min_size=1, max_size=4, unique=True)
     )
-    return DualGraph(dict(zip(ids, ws)), tree + chords)
+    for u, v in tree + chords:
+        join(u, v)
+    if draw(st.booleans()):
+        join(draw(st.sampled_from(ids)), None, 1)  # a pendant run
+    if draw(st.booleans()):
+        u = draw(st.sampled_from(ids))
+        join(u, u, 2)  # a self-loop run
+    if draw(st.booleans()):
+        join(*draw(st.sampled_from(tree + chords)), 1)  # a second route
+    return DualGraph(weights, edges)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_cyclic_graphs())
-# a zero pivot first, then a row swap, and det(-I) = -6
+# in id order a zero pivot, then a row swap; on the core, one vertex of
+# weight 0 with a self-loop run of 2, and det(-I) = 3 * (0 - 2) = -6
 @example(DualGraph({1: 0, 2: -2, 3: -2}, [(1, 2), (2, 3), (1, 3)]))
 # an all-(-2) cycle: -I is singular
 @example(DualGraph({5: -2, -3: -2, 9: -2, 0: -2}, [(5, -3), (-3, 9), (9, 0), (0, 5)]))
@@ -321,6 +347,110 @@ def test_a_graph_with_cycles_is_eliminated_once(monkeypatch):
     assert is_negative_definite(copy) and graph_d(copy) == graph_d(g)
     assert compute_dnatural(copy.with_mark(None)).coefficients == alpha
     assert len(calls) == 1
+
+
+def _self_loop(a, j):
+    """One (-a)-vertex 0 with a self-loop run of j (-2)-vertices 1..j."""
+    return DualGraph._from_parts({0: -a}, [(0, 0, range(1, j + 1))], None)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 7])
+def test_a_self_loop_run_has_det_j_plus_one_times_a_minus_two(a):
+    for j in (2, 3, 40, 10**4):
+        g = _self_loop(a, j)
+        assert graph_d(g) == (j + 1) * (a - 2)
+        assert is_negative_definite(g) == (a > 2)
+        if j <= 40:
+            flat = DualGraph(g.weights, g.edges)
+            assert graph_d(flat) == dense_det(graph_neg_matrix(flat))
+    # -a alpha_0 + 2 alpha_0 = 2 - a, and the run is constant
+    if a > 2:
+        alpha = compute_dnatural(_self_loop(a, 40)).coefficients
+        assert list(alpha) == list(range(41)) and set(alpha.values()) == {1}
+
+
+def test_a_core_free_minus_two_cycle_is_singular():
+    for j in (3, 10, 10**5):
+        g = DualGraph._from_parts({1: -2}, [(1, 1, range(2, j + 1))], None)
+        assert g._compact()[0] == {1: -2} and not is_forest(g)
+        assert graph_d(g) == 0 and signed_determinant(g) == 0
+        assert not is_negative_definite(g)
+        with pytest.raises(NotContractible):
+            compute_dnatural(g)
+    ring = DualGraph(
+        dict.fromkeys(range(1, 11), -2), [(v, v % 10 + 1) for v in range(1, 11)]
+    )
+    assert graph_d(ring) == dense_det(graph_neg_matrix(ring)) == 0
+
+
+def _line_hits(func, marker, call):
+    """Call call() and count how often func runs its line holding marker."""
+    lines, start = inspect.getsourcelines(func)
+    target = start + next(i for i, line in enumerate(lines) if marker in line)
+    hits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            hits.append(target)
+        return local
+
+    def outer(frame, event, arg):
+        return local if frame.f_code is func.__code__ else None
+
+    old = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        call()
+    finally:
+        sys.settrace(old)
+    return len(hits)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # three weight-0 core vertices in a triangle: every diagonal entry of
+        # -I is 0, so no symmetric pivot exists
+        DualGraph({1: 0, 2: 0, 3: 0}, [(1, 2), (2, 3), (1, 3)]),
+        # (-2)-vertices of degree 4, each with a self-loop run: the runs bring
+        # every core diagonal entry to (j+1)(2 - 2) = 0
+        DualGraph._from_parts(
+            {1: -2, 2: -2, 3: -2},
+            [(1, 2, ()), (2, 3, ()), (1, 3, ()), (1, 1, range(10, 12)),
+             (2, 2, range(20, 25)), (3, 3, range(30, 33))],
+            None,
+        ),
+    ],
+    ids=["zero triangle", "self-loop runs"],
+)
+def test_a_zero_diagonal_everywhere_takes_the_row_swap(g):
+    flat = DualGraph(g.weights, g.edges)
+    want = dense_det(graph_neg_matrix(flat))
+    assert want != 0
+    fresh = DualGraph._from_parts(*g._compact(), None)
+    swap = "sign, symmetric = -sign"
+    assert _line_hits(graphs._bareiss, swap, lambda: graph_d(fresh)) == 1
+    assert graph_d(fresh) == graph_d(flat) == want
+    assert not is_negative_definite(fresh)
+
+
+def test_a_self_loop_run_of_ten_to_the_five_is_read_in_compact_form():
+    # C(-1) hangs off run vertex k of a self-loop run at a (-3)-vertex, so
+    # the off-C graph is that vertex with the whole run as one self-loop
+    j, k, c = 10**5, 5 * 10**4, 0
+    g = DualGraph._from_parts(
+        {-1: -3, k: -2, c: -1},
+        [(-1, k, range(1, k)), (k, -1, range(k + 1, j + 1)), (k, c, ())],
+        c,
+    )
+    start = time.perf_counter()
+    assert graph_d(g.minus_c()) == (j + 1) * (3 - 2)
+    assert is_negative_definite(g.minus_c())
+    # every coefficient is 1, so C pairs to 1 against its one neighbour
+    assert k_type_report(g) == (KType.NUMERICALLY_TRIVIAL, 1)
+    assert time.perf_counter() - start < 1.0
+    assert g.minus_c()._compact()[0] == {-1: -3}
+    assert g.minus_c()._weights is None
 
 
 # -- blow-downs --------------------------------------------------------------
