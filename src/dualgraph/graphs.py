@@ -25,29 +25,33 @@ compresses on first use.
 
 One DFS over the core, once per graph, finds the components (_core_dfs),
 each as its core vertices, its runs and its count of core-to-core links;
-is_forest compares that count with the core size, and the forest pass, the
-forest solve, shape_report and canonical_form all read it.  canonical_form
-roots each component at a center of its core tree and labels each link by
-its run length, so isomorphism is decided in time independent of the run
-lengths.  minus_c() cuts the C-vertex once and keeps the cut graph, with
-whatever it has computed.
+is_forest compares that count with the core size, and the forest pass,
+shape_report and canonical_form all read it.  canonical_form roots each
+component at a center of its core tree and labels each link by its run
+length, so isomorphism is decided in time independent of the run lengths.
+minus_c() cuts the C-vertex once and keeps the cut graph, with whatever it
+has computed.
 
 Every determinant, definiteness and adjunction question reads one pass per
 graph, computed on first use and cached (with_mark carries it over).  On a
 forest it is an integer leaf-first pass over the core DFS, which keeps only
-what it computes: full and hole per core vertex, definiteness and det(-I).
-For the subtree below a core vertex v, full(v) is det(-I) of the subtree and
-hole(v) the same determinant with v struck out:
+what it computes: full, hole and load per core vertex, definiteness and
+det(-I).  For the subtree below a core vertex v, full(v) is det(-I) of the
+subtree and hole(v) the same determinant with v struck out:
 full(v) = a_v * prod full(c) - sum_i hole(c_i) * prod_{j != i} full(c_j) and
-hole(v) = prod full(c), the tree generalization of the chain recurrence.  A
-run of j (-2)-vertices maps a child's (F, H) to ((j+1)F - jH, jF - (j-1)H),
-and a pendant run contributes (j+1, j).  Leaf-first Schur elimination has the
-pivots full/hole, so I is negative definite iff every full is positive; along
-a run full is linear in the run index, so its two ends decide.  det(-I) is the
-product of the root fulls.  A graph with a cycle gets one sparse
-fraction-free elimination of -I over its compact core (_bareiss): each run in
-closed form, then the core leaf first, with no dense elimination under the
-canonical vertex ordering; its cost follows the core size plus fill.
+hole(v) = prod full(c), the tree generalization of the chain recurrence;
+load(v) is the subtree's right-hand side -w - 2 eliminated into v, times
+hole(v).  A run of j (-2)-vertices maps a child's (F, H) to
+((j+1)F - jH, jF - (j-1)H), and a pendant run contributes (j+1, j) and no
+load.  Leaf-first Schur elimination has the pivots full/hole, so I is
+negative definite iff every full is positive; along a run full is linear in
+the run index, so its two ends decide.  det(-I) is the product of the root
+fulls.  A graph with a cycle gets one sparse fraction-free elimination of -I
+over its compact core (_bareiss): each run in closed form, then the core
+leaf first; its cost follows the core size plus fill.  Either pass gives
+D * alpha at the core by back substitution, D = det(-I) of the whole graph,
+and one builder (_run_pieces) reads the adjunction solve off it: a
+progression along each run.
 """
 
 from __future__ import annotations
@@ -69,6 +73,10 @@ from .errors import (
 _Link = tuple[int | None, int | None, Sequence[int]]
 # (far, ids): a link seen from one core end, ids ordered away from it
 _End = tuple[int | None, Sequence[int]]
+# (ids, first, step): the adjunction coefficient at ids[k] is
+# (first + k * step) / D, D = det(-I) > 0 of the whole graph, so all are
+# integers; a solve is D and one piece per core vertex and per run
+_Piece = tuple[Sequence[int], int, int]
 
 
 class DualGraph:
@@ -114,7 +122,7 @@ class DualGraph:
         self._adj: dict[int, list[int]] | None = None
         self._inc: dict[int, list[_End]] | None = None
         self._hash: int | None = None
-        self._pass: _TreePass | _DensePass | None = None
+        self._pass: _TreePass | _CorePass | None = None
         self._dfs: _CoreDFS | None = None
         self._minus_c: DualGraph | None = None
 
@@ -255,6 +263,10 @@ class DualGraph:
             return False
 
     def __len__(self) -> int:
+        return self._size()
+
+    def _size(self) -> int:
+        """The vertex count, which len() cannot return past sys.maxsize."""
         if self._weights is not None:
             return len(self._weights)
         return len(self._core) + sum(len(ids) for _, _, ids in self._links)
@@ -617,25 +629,38 @@ def _core_components(g: DualGraph) -> list[_Component]:
 
 @dataclass
 class _TreePass:
-    """The integer leaf-first pass over a forest's compact form: full and
-    hole are the subtree determinants of the module docstring, per core
-    vertex.  The order, parents and links it ran over are the graph's own
-    (_core_dfs, core_links)."""
+    """The integer leaf-first pass over a forest's compact form: full, hole
+    and load per core vertex, as in the module docstring.  The order,
+    parents and links it ran over are the graph's own (_core_dfs,
+    core_links)."""
 
     full: dict[int, int]
     hole: dict[int, int]
+    load: dict[int, int]
     definite: bool  # every full is positive, inside the runs too
     det: int  # det(-I)
 
+    def scaled_alpha(self, g: DualGraph) -> dict[int | None, int]:
+        """det * alpha at each core vertex, parents first: the back
+        substitution on the row {v: top, up: -hole(v), None: (j+1) load(v)}
+        of v under a run of j, top being full(v) through it (a root: j = 0)."""
+        y: dict[int | None, int] = {None: 0}
+        dfs = _core_dfs(g)
+        for v in dfs.order:
+            up, ids = dfs.parent[v]
+            j, h = len(ids), self.hole[v]
+            top = _through_run(self.full[v], h, j)[0]
+            y[v] = (self.det * (j + 1) * self.load[v] + h * y[up]) // top
+        return y
+
 
 def _through_run(full: int, hole: int, j: int) -> tuple[int, int]:
-    """(full, hole) of a subtree once a run of j (-2)-vertices is put on top;
-    (1, 0) stands for the empty subtree below a pendant run."""
+    """(full, hole) of a subtree once a run of j (-2)-vertices is put on top."""
     return (j + 1) * full - j * hole, j * full - (j - 1) * hole
 
 
-def _elimination(g: DualGraph) -> _TreePass | _DensePass:
-    """The one pass of g, computed once: the forest pass, else the dense
+def _elimination(g: DualGraph) -> _TreePass | _CorePass:
+    """The one pass of g, computed once: the forest pass, else the core
     elimination."""
     if g._pass is None:
         g._pass = _tree_pass(g) if is_forest(g) else _bareiss(g)
@@ -649,47 +674,55 @@ def _tree_pass(g: DualGraph) -> _TreePass:
     inc = g.core_links()
     full: dict[int, int] = {}
     hole: dict[int, int] = {}
+    load: dict[int, int] = {}
     definite = True
     det = 1
     for v in reversed(dfs.order):
-        f_v, h_v = -core[v], 1
+        f_v, h_v, m_v = -core[v], 1, -core[v] - 2
         up = dfs.parent[v][0]
         for w, ids in inc[v]:
             if w is None:
-                f, h = _through_run(1, 0, len(ids))
+                f, h, m = len(ids) + 1, len(ids), 0
             elif w == up:
                 continue
             else:
                 # full is linear along a run and full[w] > 0 is checked
                 # already, so the run's far end decides the whole run
-                f, h = _through_run(full[w], hole[w], len(ids))
+                (f, h), m = _through_run(full[w], hole[w], len(ids)), load[w]
                 if f <= 0:
                     definite = False
-            f_v, h_v = f_v * f - h_v * h, h_v * f
+            f_v, m_v, h_v = f_v * f - h_v * h, m_v * f + m * h_v, h_v * f
         if f_v <= 0:
             definite = False
-        full[v] = f_v
-        hole[v] = h_v
+        full[v], hole[v], load[v] = f_v, h_v, m_v
         if up is None:
             det *= f_v
     for ids in dfs.pure:
         det *= len(ids) + 1
-    return _TreePass(full, hole, definite, det)
+    return _TreePass(full, hole, load, definite, det)
 
 
 @dataclass
-class _DensePass:
-    """What a graph with a cycle keeps of its sparse core elimination: no
-    dense elimination under the canonical vertex ordering, its cost following
-    the core size plus fill, independent of the run lengths.  pieces are
-    canonical's (ids, D * first, D * step, D): each core vertex and run."""
+class _CorePass:
+    """What a graph with a cycle keeps of its sparse core elimination: the
+    core vertices in the order they were eliminated, and their pivot rows."""
 
     definite: bool  # every pivot is positive
     det: int  # det(-I)
-    pieces: list[tuple[Sequence[int], int, int, int]] | None  # if definite
+    done: list[int]
+    rows: dict[int, dict[int | None, int]]
+
+    def scaled_alpha(self, g: DualGraph) -> dict[int | None, int]:
+        """det * alpha at each core vertex by back substitution (no row swap)."""
+        y: dict[int | None, int] = {None: 0}
+        for p in reversed(self.done):
+            row = self.rows[p]
+            s = self.det * row[None] - sum(x * y[c] for c, x in row.items() if c != p)
+            y[p] = s // row[p]
+        return y
 
 
-def _bareiss(g: DualGraph) -> _DensePass:
+def _bareiss(g: DualGraph) -> _CorePass:
     """Sparse fraction-free elimination (Bareiss 1968) of -I over the core.
 
     Row v maps core vertices to the entries of D * S, and the key None to the
@@ -739,7 +772,7 @@ def _bareiss(g: DualGraph) -> _DensePass:
             entries = ((r, c) for r in pending for c, x in rows[r].items() if x)
             hit = next(((r, c) for r, c in entries if c is not None), None)
             if hit is None:
-                return _DensePass(False, 0, None)
+                return _CorePass(False, 0, done, rows)
             r, c = hit
             rows[r], rows[c], stamp[r], stamp[c] = rows[c], rows[r], stamp[c], stamp[r]
             sign, symmetric = -sign, False
@@ -763,21 +796,21 @@ def _bareiss(g: DualGraph) -> _DensePass:
             stamp[r] = pivot
         d = pivot
         done.append(p)
-    det = sign * d
-    if not definite:
-        return _DensePass(False, det, None)
-    # back substitution gives D * alpha at the core, and a pendant run goes
-    # down to a virtual 0 past its free end (None)
-    y: dict[int | None, int] = {None: 0}
-    for p in reversed(done):
-        s = det * rows[p][None] - sum(x * y[c] for c, x in rows[p].items() if c != p)
-        y[p] = s // rows[p][p]
-    pieces = [((v,), y[v], 0, det) for v in done]
-    for a, b, ids in links:
+    return _CorePass(definite, sign * d, done, rows)
+
+
+def _run_pieces(g: DualGraph) -> tuple[int, list[_Piece]]:
+    """D and the pieces of g's adjunction solve; g's pass must be definite.
+    Along a run D * alpha is the arithmetic progression between its ends'
+    (0 past a free end), so every division is exact."""
+    elim = _elimination(g)
+    y = elim.scaled_alpha(g)
+    pieces = [((v,), y[v], 0) for v in g._compact()[0]]
+    for a, b, ids in g._compact()[1]:
         if ids:
             step = (y[b] - y[a]) // (len(ids) + 1)
-            pieces.append((ids, y[a] + step, step, det))
-    return _DensePass(True, det, pieces)
+            pieces.append((ids, y[a] + step, step))
+    return elim.det, pieces
 
 
 def is_forest(g: DualGraph) -> bool:
@@ -798,7 +831,7 @@ def graph_d(g: DualGraph) -> int:
 
 def signed_determinant(g: DualGraph) -> int:
     """det(I(g)); 1 for the empty graph."""
-    return graph_d(g) if len(g) % 2 == 0 else -graph_d(g)
+    return graph_d(g) if g._size() % 2 == 0 else -graph_d(g)
 
 
 # -- negative definiteness -------------------------------------------------
@@ -807,11 +840,10 @@ def signed_determinant(g: DualGraph) -> int:
 def is_negative_definite(g: DualGraph) -> bool:
     """True iff I(g) is negative definite (exact Sylvester test).
 
-    Reads the graph's one pass: the integer pass on a forest's compact form,
-    else the pivots of the sparse elimination of -I over the compact core (no
-    dense elimination under the canonical vertex ordering), whose cost follows
-    the core size plus fill, independent of the run lengths.  Definiteness
-    does not depend on the elimination order, so the routes decide the same.
+    Reads the graph's one pass: the forest pass, else the pivots of the
+    sparse elimination of -I over the compact core, independent of the run
+    lengths.  Definiteness does not depend on the elimination order, so the
+    two passes decide the same.
     """
     if any(w >= 0 for w in g._compact()[0].values()):
         # a nonnegative diagonal entry is a nonpositive principal minor of -I

@@ -353,9 +353,9 @@ def solve_forest_fraction(g, tp):
     """The forest adjunction solve in Fractions, from the library's integer
     tree pass (its pivots full/hole) and the core DFS it ran over (order,
     parents, pure chains), with the core weights and links of g.  Pieces are
-    (ids, first, step): alpha at ids[k] is first + k * step, listed in the
-    library's piece order.  The reference for canonical._solve_forest, which
-    keeps the same progressions scaled to integers."""
+    (ids, first, step): alpha at ids[k] is first + k * step.  The reference
+    for the library's forest solve, which keeps the same progressions scaled
+    to integers by det(-I)."""
     from dualgraph.graphs import _core_dfs, _through_run
 
     dfs = _core_dfs(g)
@@ -429,7 +429,7 @@ def _per_vertex_fraction(pieces):
     for ids, first, step in pieces:
         for k, v in enumerate(ids):
             alpha[v] = first + k * step
-    return alpha
+    return dict(sorted(alpha.items()))
 
 
 def dnatural_fraction(gD):
@@ -462,9 +462,11 @@ def k_type_report_fraction(g):
     if pairing == 1:
         fractional = [v for v, a in alpha.items() if a.denominator != 1]
         if fractional:
-            raise InternalDefect(
-                f"pairing is 1 but coefficient at {fractional[0]} is not an integer"
-            )
+            message = f"pairing is 1 but coefficient at {fractional[0]} is not an integer"
+            d_g = dense_det(graph_neg_matrix(g))
+            if d_g != -1:
+                raise OutOfScopeBoundary(f"{message}; d(g) is {d_g}, not -1")
+            raise InternalDefect(message)
         return KType.NUMERICALLY_TRIVIAL, pairing
     return KType.CANONICAL_AMPLE, pairing
 

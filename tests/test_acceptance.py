@@ -5,6 +5,7 @@ failing assertion marks the corresponding line item red.  Runtime limits are
 wall-clock via time.monotonic, measured around the library call only.
 """
 
+import hashlib
 import heapq
 import itertools
 import json
@@ -418,6 +419,10 @@ def test_acceptance_8_verify_all_is_byte_identical(tmp_path):
         files.append(path.read_bytes())
     assert outs[0] == outs[1]
     assert files[0] == files[1]
+    # the bytes themselves are pinned, so a refactor must keep every one
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == (
+        "f7b1dd8b9a8616dc539328be65f26c519f67e5be7e4b42d283e090beb4bdf1c7"
+    )
     report = json.loads(outs[0])
     assert report["pass"] is True
     assert set(report["suites"]) == {

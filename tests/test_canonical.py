@@ -372,33 +372,35 @@ def test_report_reads_the_pairing_of_the_expanded_coefficients():
 
 def test_defects_name_the_first_bad_vertex(monkeypatch):
     # a broken solve is caught from the run ends, and named as before: the
-    # first vertex, in coefficient order, that is negative or fractional
+    # first vertex, in coefficient order (by id), that is negative or
+    # fractional
     g, _ = star3_graph((3,), 2, 8)  # numerically trivial
     assert k_type_report(g)[0] is KType.NUMERICALLY_TRIVIAL
-    solve = canonical._solve_forest
+    solve = canonical._run_pieces
     (c_adj,) = g.neighbors(g.c)
 
-    def bend(change):
-        def broken(gD, tp):
-            pieces = solve(gD, tp)
+    def bend(scale, change):
+        def broken(gD):
+            d, pieces = solve(gD)
+            pieces = [(ids, scale * first, scale * step) for ids, first, step in pieces]
             for i, piece in enumerate(pieces):
                 if len(piece[0]) > 1 and c_adj not in piece[0]:
-                    pieces[i] = change(*piece)
-                    return pieces
+                    pieces[i] = change(d, *piece)
+                    return scale * d, pieces
             raise AssertionError("no run away from C")
 
         return broken
 
-    # pieces are (ids, D * first, D * step, D): add 1/(2D) to the step
-    half = bend(lambda ids, first, step, d: (ids, 2 * first, 2 * step + 1, 2 * d))
-    monkeypatch.setattr(canonical, "_solve_forest", half)
-    pieces = canonical._solve(g.minus_c())
-    bent = next(ids for ids, _, step, d in pieces if step % d)
-    with pytest.raises(InternalDefect, match=f"coefficient at {bent[1]} is"):
+    # pieces are (ids, D * first, D * step): add 1/(2D) to the step
+    half = bend(2, lambda d, ids, first, step: (ids, first, step + 1))
+    monkeypatch.setattr(canonical, "_run_pieces", half)
+    d, pieces = canonical._solve(g.minus_c())
+    bent = next(ids for ids, _, step in pieces if step % d)
+    with pytest.raises(InternalDefect, match=f"coefficient at {min(bent[1::2])} is"):
         k_type_report(g)
-    down = bend(lambda ids, first, step, d: (ids, first, step - 100 * d, d))
-    monkeypatch.setattr(canonical, "_solve_forest", down)
-    with pytest.raises(InternalDefect, match=f"negative coefficient at {bent[1]}$"):
+    down = bend(1, lambda d, ids, first, step: (ids, first, step - 100 * d))
+    monkeypatch.setattr(canonical, "_run_pieces", down)
+    with pytest.raises(InternalDefect, match=f"negative coefficient at {min(bent[1:])}$"):
         compute_dnatural(g.minus_c())
 
 

@@ -180,16 +180,40 @@ def test_graph_ktype_trivial_instance(capsys, tmp_path):
 
 
 def test_a_library_defect_is_exit_4(capsys, tmp_path, monkeypatch):
-    def broken(gD, tp):
+    def broken(gD):
         raise InternalDefect("adjunction solve produced negative coefficient at 2")
 
-    monkeypatch.setattr(canonical, "_solve_forest", broken)
+    monkeypatch.setattr(canonical, "_run_pieces", broken)
     path = tmp_path / "g.dgn"
     path.write_text(family_dgn(family=3, A=(2,), n=3, l=7))
     code, out, err = run_cli(capsys, "graph", "ktype", str(path))
     assert code == 4 and out == ""
     assert err == (
         "error: library defect: adjunction solve produced negative coefficient at 2\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "dgn, bad",
+    [
+        ("v 1 -1 C\nv 2 -4\nv 3 -4\ne 1 2\ne 1 3\n", 2),
+        (
+            "v 1 -3\nv 2 -3\nv 3 -2\nv 4 -3\nv 5 -1 C\n"
+            "e 1 2\ne 1 3\ne 2 3\ne 3 4\ne 4 5\n",
+            1,
+        ),
+    ],
+    ids=["tree", "triangle"],
+)
+def test_a_fractional_pairing_of_1_off_a_boundary_is_exit_1(capsys, monkeypatch, dgn, bad):
+    # C pairs to exactly 1 against a fractional solve, on a graph with
+    # d(g) = 8: no boundary, so out of scope rather than a library defect
+    monkeypatch.setattr("sys.stdin", io.StringIO(dgn))
+    code, out, err = run_cli(capsys, "graph", "ktype", "-")
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: pairing is 1 but coefficient at {bad} is not an integer; "
+        "d(g) is 8, not -1\n"
     )
 
 

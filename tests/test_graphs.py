@@ -108,6 +108,19 @@ def test_signed_determinant_examples():
     assert graph_d(two_vertex) == -1
 
 
+def test_signed_determinant_past_maxsize_vertices():
+    # len() cannot count this many vertices; the sign reads the compact form
+    spec = FamilyInstance(
+        family=5, A=(10**6,), n=10**7, b=(3,), l=sys.maxsize, m=sys.maxsize
+    )
+    start = time.perf_counter()
+    g = build_family(spec).minus_c()
+    size = len(g._compact()[0]) + sum(len(ids) for _, _, ids in g._compact()[1])
+    assert size > sys.maxsize
+    assert signed_determinant(g) == (-1) ** size * graph_d(g)
+    assert time.perf_counter() - start < 1
+
+
 def test_empty_graph_determinants():
     empty = DualGraph({}, [])
     assert graph_d(empty) == 1
