@@ -66,13 +66,10 @@ def _solve(gD: DualGraph) -> tuple[int, list[_Piece]]:
     left as its arithmetic progression."""
     if gD.c is not None:
         raise NotMinimalResolutionGraph("graph carries a C mark")
-    core, links = gD._compact()
     # run vertices all weigh -2, so the core weights decide
-    for v, w in sorted(core.items()):
+    for v, w in sorted(gD._compact()[0].items()):
         if w > -2:
             raise NotMinimalResolutionGraph(f"vertex {v} has weight {w} > -2")
-    if not core and not links:  # empty; len() could pass sys.maxsize
-        return 1, []
     if not _elimination(gD).definite:
         raise NotContractible("intersection form is not negative definite")
     d, pieces = _run_pieces(gD)
@@ -156,7 +153,6 @@ def k_type_report(g: DualGraph) -> tuple[KType, Fraction]:
         raise OutOfScopeBoundary(
             f"marked vertex weighs {g.weight(g.c)}, classification needs -1"
         )
-    g._compact()  # so the cut and the neighbors below read the runs
     pairing, d, pieces = _c_pairing(g)
     if pairing < 1:
         return KType.ANTI_CANONICAL_AMPLE, pairing

@@ -17,11 +17,12 @@ oriented and sorted canonically, so equal graphs have equal compact forms.
 The family builders emit this form with their links oriented, so it is only
 sorted, and delete() cuts it and re-joins it only around the deleted vertex;
 either reruns _normalize only when a (-2)-vertex must join a run.  Both take
-time independent of the run lengths; the vertex-level views (weights, edges,
-adjacency, DGN) are expanded from it lazily, once.  Neighbours, degrees and
-edge tests are read from the compact form whenever the graph holds it, so
-they expand nothing.  A graph given as vertex-level data keeps that data and
-compresses on first use.
+time independent of the run lengths.  Every structural query (cuts,
+neighbours, degrees, edge tests, the hash, the passes below) reads only the
+compact form, compressing vertex-level data on first use, and expands no run.
+Vertex-level weights and edges are expanded lazily, once; the edits
+(blow_down, the blow-ups, contract_all) read only them and never compress a
+graph, and so do DGN, adjacency and == between two graphs holding them.
 
 One DFS over the core, once per graph, finds the components (_core_dfs),
 each as its core vertices, its runs and its count of core-to-core links;
@@ -83,8 +84,8 @@ class DualGraph:
     """Immutable weighted graph with an optional C-marked vertex."""
 
     __slots__ = (
-        "_core", "_links", "_weights", "_edges", "_c", "_adj", "_inc", "_hash",
-        "_pass", "_dfs", "_minus_c",
+        "_core", "_links", "_weights", "_edges", "_c", "_inc", "_pass", "_dfs",
+        "_minus_c",
     )
 
     def __init__(
@@ -119,9 +120,7 @@ class DualGraph:
         self._weights: dict[int, int] | None = weights
         self._edges: tuple[tuple[int, int], ...] | None = edges
         self._c = c
-        self._adj: dict[int, list[int]] | None = None
         self._inc: dict[int, list[_End]] | None = None
-        self._hash: int | None = None
         self._pass: _TreePass | _CorePass | None = None
         self._dfs: _CoreDFS | None = None
         self._minus_c: DualGraph | None = None
@@ -210,14 +209,12 @@ class DualGraph:
 
     @property
     def adjacency(self) -> dict[int, list[int]]:
-        if self._adj is None:
-            weights, edges = self._expand()
-            adj: dict[int, list[int]] = {v: [] for v in weights}
-            for u, v in edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            self._adj = adj
-        return self._adj
+        weights, edges = self._expand()
+        adj: dict[int, list[int]] = {v: [] for v in weights}
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
 
     def core_links(self) -> dict[int, list[_End]]:
         """Each core vertex's links as (far core end or None, run ids ordered
@@ -238,10 +235,8 @@ class DualGraph:
         return self._inc
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        """Sorted neighbours of v, read from the compact form when the graph
-        holds it, so a run is never expanded."""
-        if self._core is None or self._adj is not None:
-            return tuple(sorted(self.adjacency[v]))
+        """Sorted neighbours of v, read from the compact form (compressing
+        vertex-level data first), so a run is never expanded."""
         ends = self.core_links().get(v)
         if ends is not None:
             return tuple(sorted(map(link_neighbor, ends)))
@@ -287,10 +282,10 @@ class DualGraph:
         return self._compact() == other._compact()
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            weights, edges = self._expand()
-            self._hash = hash((tuple(sorted(weights.items())), edges, self._c))
-        return self._hash
+        """The hash of the canonical compact form, so equal graphs hash
+        equal and no run is expanded."""
+        core, links = self._compact()
+        return hash((frozenset(core.items()), links, self._c))
 
     def __repr__(self) -> str:
         weights, edges = self._expand()
@@ -302,32 +297,26 @@ class DualGraph:
     def delete(self, v: int) -> "DualGraph":
         """The graph with vertex v (and its edges) removed.
 
-        A graph holding the compact form has it re-joined only around v, in
-        time independent of the run lengths.  The links that do not touch v
-        keep their places; the pieces of those that do, at most deg(v) of
-        them or two when v splits a run, are oriented as _normalize orients
-        links and inserted in order.  _normalize runs only when a (-2) core
-        end might now be absorbed: when it lost a direct edge to v, or ends
-        the run that v split.  The vertex-level data is expanded from the
-        cut form if and when it is asked for.  A graph holding only
-        vertex-level data has that filtered, in order.
+        The compact form (compressed first from vertex-level data) is cut
+        and re-joined only around v, in time independent of the run lengths.
+        The links that do not touch v keep their places; the pieces of those
+        that do, at most deg(v) of them or two when v splits a run, are
+        oriented as _normalize orients links and inserted in order.
+        _normalize runs only when a (-2) core end might now be absorbed: when
+        it lost a direct edge to v, or ends the run that v split.  The
+        vertex-level data is expanded from the cut form if and when it is
+        asked for.
         """
         if v not in self:
             raise ValueError(f"no vertex {v}")
         c = None if self._c == v else self._c
-        g = DualGraph.__new__(DualGraph)
-        if self._core is None:
-            weights = {u: wt for u, wt in self._weights.items() if u != v}
-            edges = tuple((a, b) for a, b in self._edges if v not in (a, b))
-            g._init(None, None, weights, edges, c)
-            return g
-        core = self._core
+        core, old = self._compact()
         links: list[_Link] = []  # the links away from v, still sorted
         pieces: list[_Link] = []
         ends: list[int | None] = []  # core ends that might now be absorbed
         if v in core:
             core = {u: w for u, w in core.items() if u != v}
-            for link in self._links:
+            for link in old:
                 a, b, ids = link
                 if a != v and b != v:
                     links.append(link)
@@ -336,7 +325,7 @@ class DualGraph:
                 else:
                     ends.append(b if a == v else a)
         else:
-            links += self._links
+            links += old
             i = next(i for i, (_, _, ids) in enumerate(links) if v in ids)
             a, b, ids = links.pop(i)
             k = ids.index(v)
@@ -351,6 +340,7 @@ class DualGraph:
             for link in pieces:
                 insort(links, link, key=_link_key)
             links = tuple(links)
+        g = DualGraph.__new__(DualGraph)
         g._init(core, links, None, None, c)
         return g
 
@@ -367,7 +357,7 @@ class DualGraph:
             raise ValueError(f"marked vertex {v} does not exist")
         g = DualGraph.__new__(DualGraph)
         g._init(self._core, self._links, self._weights, self._edges, v)
-        g._adj, g._inc, g._pass, g._dfs = self._adj, self._inc, self._pass, self._dfs
+        g._inc, g._pass, g._dfs = self._inc, self._pass, self._dfs
         return g
 
 
@@ -705,21 +695,28 @@ def _tree_pass(g: DualGraph) -> _TreePass:
 @dataclass
 class _CorePass:
     """What a graph with a cycle keeps of its sparse core elimination: the
-    core vertices in the order they were eliminated, and their pivot rows."""
+    core vertices in the order they were eliminated and their pivot rows,
+    until the first solve replaces the rows with its answer y."""
 
     definite: bool  # every pivot is positive
     det: int  # det(-I)
     done: list[int]
-    rows: dict[int, dict[int | None, int]]
+    rows: dict[int, dict[int | None, int]] | None
+    y: dict[int | None, int] | None = None
 
     def scaled_alpha(self, g: DualGraph) -> dict[int | None, int]:
-        """det * alpha at each core vertex by back substitution (no row swap)."""
-        y: dict[int | None, int] = {None: 0}
-        for p in reversed(self.done):
-            row = self.rows[p]
-            s = self.det * row[None] - sum(x * y[c] for c, x in row.items() if c != p)
-            y[p] = s // row[p]
-        return y
+        """det * alpha at each core vertex by back substitution (no row
+        swap), run once; the pivot rows go after it."""
+        if self.y is None:
+            y: dict[int | None, int] = {None: 0}
+            for p in reversed(self.done):
+                row = self.rows[p]
+                s = self.det * row[None] - sum(
+                    x * y[c] for c, x in row.items() if c != p
+                )
+                y[p] = s // row[p]
+            self.y, self.rows = y, None
+        return self.y
 
 
 def _bareiss(g: DualGraph) -> _CorePass:
@@ -840,15 +837,12 @@ def signed_determinant(g: DualGraph) -> int:
 def is_negative_definite(g: DualGraph) -> bool:
     """True iff I(g) is negative definite (exact Sylvester test).
 
-    Reads the graph's one pass: the forest pass, else the pivots of the
+    Reads only the graph's one pass: the forest pass, else the pivots of the
     sparse elimination of -I over the compact core, independent of the run
     lengths.  Definiteness does not depend on the elimination order, so the
-    two passes decide the same.
+    two passes decide the same, and a nonnegative weight shows as a
+    nonpositive pivot.
     """
-    if any(w >= 0 for w in g._compact()[0].values()):
-        # a nonnegative diagonal entry is a nonpositive principal minor of -I
-        # (run vertices all weigh -2, so the core weights decide)
-        return False
     return _elimination(g).definite
 
 
@@ -868,17 +862,17 @@ def blow_down(g: DualGraph, v: int) -> DualGraph:
         raise ValueError(f"no vertex {v}")
     if g.weight(v) != -1:
         raise NotContractibleCurve(f"vertex {v} has weight {g.weight(v)}, not -1")
-    nbrs = g.neighbors(v)
+    edges = [e for e in g.edges if v not in e]
+    nbrs = tuple(sorted(u for e in g.edges if v in e for u in e if u != v))
     if len(nbrs) > 2:
         raise WouldBreakChain(f"vertex {v} has degree {len(nbrs)} > 2")
-    if len(nbrs) == 2 and g.has_edge(nbrs[0], nbrs[1]):
-        raise WouldCreateCycle(
-            f"neighbors {nbrs[0]} and {nbrs[1]} of {v} are already adjacent"
-        )
-    weights = {u: w + 1 if u in nbrs else w for u, w in g.weights.items() if u != v}
-    edges = [(a, b) for a, b in g.edges if v not in (a, b)]
     if len(nbrs) == 2:
+        if nbrs in edges:
+            raise WouldCreateCycle(
+                f"neighbors {nbrs[0]} and {nbrs[1]} of {v} are already adjacent"
+            )
         edges.append(nbrs)
+    weights = {u: w + 1 if u in nbrs else w for u, w in g.weights.items() if u != v}
     return DualGraph(weights, edges, None if g.c == v else g.c)
 
 
@@ -890,35 +884,34 @@ def _fresh_id(g: DualGraph, new_id: int | None) -> int:
     return w
 
 
+def _blow_up(g: DualGraph, ends: tuple[int, ...], new_id: int | None) -> DualGraph:
+    """A fresh (-1)-vertex joined to ends, each of which weighs 1 less; two
+    ends are an edge, which the new vertex replaces."""
+    w = _fresh_id(g, new_id)
+    weights = {x: wt - 1 if x in ends else wt for x, wt in g.weights.items()}
+    weights[w] = -1
+    edges = [e for e in g.edges if e != ends] + [(x, w) for x in ends]
+    return DualGraph(weights, edges, g.c)
+
+
 def blow_up_edge(g: DualGraph, u: int, v: int, new_id: int | None = None) -> DualGraph:
     """Insert a fresh (-1)-vertex on the edge (u, v), decrementing u and v."""
-    if not g.has_edge(u, v):
+    key = (u, v) if u < v else (v, u)
+    if key not in g.edges:
         raise ValueError(f"no edge ({u},{v})")
-    w = _fresh_id(g, new_id)
-    key = (min(u, v), max(u, v))
-    weights = {x: wt - 1 if x in (u, v) else wt for x, wt in g.weights.items()}
-    weights[w] = -1
-    edges = [e for e in g.edges if e != key] + [(u, w), (v, w)]
-    return DualGraph(weights, edges, g.c)
+    return _blow_up(g, key, new_id)
 
 
 def blow_up_at(g: DualGraph, u: int, new_id: int | None = None) -> DualGraph:
     """Attach a fresh (-1)-leaf at u, decrementing u's weight."""
     if u not in g:
         raise ValueError(f"no vertex {u}")
-    w = _fresh_id(g, new_id)
-    weights = {x: wt - 1 if x == u else wt for x, wt in g.weights.items()}
-    weights[w] = -1
-    edges = list(g.edges) + [(u, w)]
-    return DualGraph(weights, edges, g.c)
+    return _blow_up(g, (u,), new_id)
 
 
 def blow_up_free(g: DualGraph, new_id: int | None = None) -> DualGraph:
     """Add an isolated (-1)-vertex (inverse of blowing down an isolated one)."""
-    w = _fresh_id(g, new_id)
-    weights = g.weights
-    weights[w] = -1
-    return DualGraph(weights, g.edges, g.c)
+    return _blow_up(g, (), new_id)
 
 
 def contract_all(g: DualGraph) -> DualGraph:
@@ -1017,7 +1010,7 @@ def shape_report(g: DualGraph) -> ShapeReport:
     Reads the core DFS of g.minus_c().  Run vertices have degree 1 or 2, so
     branch vertices are core; only the listed vertices are expanded.
     """
-    tree = is_tree(g)  # compresses g first, so the cut reads its runs
+    tree = is_tree(g)
     rest = g if g.c is None else g.minus_c()
     c_nbrs = set() if g.c is None else set(g.neighbors(g.c))
     inc = rest.core_links()

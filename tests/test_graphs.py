@@ -37,7 +37,7 @@ from dualgraph.graphs import (
     shape_report,
     signed_determinant,
 )
-from dualgraph.families import FamilyInstance, build_family
+from dualgraph.families import FamilyInstance, build_family, l_bound
 from dualgraph.twigs import twig_determinant
 
 from oracles import (
@@ -553,6 +553,30 @@ def test_blow_up_edge_then_down_is_identity(ws):
         assert graph_d(up) == graph_d(g)
 
 
+def test_edits_of_vertex_level_data_never_compress(monkeypatch):
+    def refused(*args):
+        raise AssertionError("an edit compressed a graph")
+
+    monkeypatch.setattr(graphs, "_normalize", refused)
+    g = DualGraph({1: -2, 2: -1, 3: -2, 4: -2}, [(1, 2), (2, 3), (3, 4)], c=4)
+    down = blow_down(g, 2)
+    assert down.weights == {1: -1, 3: -1, 4: -2} and down.edges == ((1, 3), (3, 4))
+    up = blow_up_edge(down, 3, 1, new_id=2)
+    assert (up.weights, up.edges, up.c) == (g.weights, g.edges, 4)
+    at = blow_up_at(g, 4)
+    assert at.weights == {1: -2, 2: -1, 3: -2, 4: -3, 5: -1}
+    assert at.edges == g.edges + ((4, 5),)
+    free = blow_up_free(g, new_id=0)
+    assert free.weights == {0: -1, **g.weights} and free.edges == g.edges
+    done = contract_all(g)
+    assert (done.weights, done.edges, done.c) == ({3: 0, 4: -2}, ((3, 4),), 4)
+    triangle = DualGraph({1: -1, 2: -2, 3: -2}, [(1, 2), (2, 3), (1, 3)])
+    with pytest.raises(WouldCreateCycle, match="neighbors 2 and 3 of 1"):
+        blow_down(triangle, 1)
+    with pytest.raises(ValueError, match="no edge"):
+        blow_up_edge(g, 1, 3)
+
+
 # -- contract_all -------------------------------------------------------------
 
 
@@ -907,7 +931,7 @@ def test_each_off_c_graph_is_cut_and_solved_once(monkeypatch):
     # the shape of a compact graph reads the cut compact form, unexpanded
     fam = build_family(FamilyInstance(family=3, A=(1000,), n=2, l=10**5))
     shape_report(fam)
-    assert fam.minus_c()._adj is None and fam.minus_c()._weights is None
+    assert fam.minus_c()._weights is None
 
 
 # -- isomorphism ---------------------------------------------------------------
@@ -1002,7 +1026,7 @@ def test_isomorphic_on_a_long_run_reads_the_compact_form():
     assert isomorphic(g, flipped)
     assert not isomorphic(g, longer)
     for h in (g, flipped, longer):
-        assert h._weights is None and h._adj is None
+        assert h._weights is None
 
 
 def test_is_tree_and_forest():
@@ -1041,13 +1065,11 @@ def test_compact_form_round_trips_and_deletes_like_vertex_data(h):
     core, links = h._compact()
     g = DualGraph._from_parts(core, list(links), h.c)  # compact parts only
     assert g._compact() == (core, links)
-    vertex_level = DualGraph(h.weights, h.edges, h.c)  # reads adjacency
+    adjacency = h.adjacency  # the vertex-level view
     for v in h.weights:
-        assert g.neighbors(v) == vertex_level.neighbors(v)
-        assert g.degree(v) == vertex_level.degree(v)
-        assert all(
-            g.has_edge(v, u) == vertex_level.has_edge(v, u) for u in h.weights
-        )
+        assert g.neighbors(v) == tuple(sorted(adjacency[v]))
+        assert g.degree(v) == len(adjacency[v])
+        assert all(g.has_edge(v, u) == (u in adjacency[v]) for u in h.weights)
         assert not g.has_edge(v, 99) and not g.has_edge(99, v)
     assert g._weights is None  # answered from the compact form alone
     assert len(g) == len(h)
@@ -1059,19 +1081,65 @@ def test_compact_form_round_trips_and_deletes_like_vertex_data(h):
     assert is_negative_definite(g) == sylvester_negdef(graph_neg_matrix(h))
     for v in h.weights:
         cut = g.delete(v)  # cut and re-joined in compact form
-        plain = DualGraph(h.weights, h.edges, h.c).delete(v)  # vertex level
+        plain = _filtered(h, v)
         assert cut.c == plain.c
         assert cut._compact() == plain._compact()
         assert cut.weights == plain.weights and cut.edges == plain.edges
 
 
+@settings(max_examples=200, deadline=None)
+@given(_run_heavy_graphs(), st.randoms(use_true_random=False))
+def test_equal_graphs_given_in_any_order_hash_equal(h, rnd):
+    weights, edges = list(h.weights.items()), [(v, u) for u, v in h.edges]
+    rnd.shuffle(weights)
+    rnd.shuffle(edges)
+    shuffled = DualGraph(dict(weights), edges, h.c)
+    core, links = h._compact()
+    nodes = list(core.items())
+    rnd.shuffle(nodes)
+    flipped = [(b, a, ids[::-1]) for a, b, ids in links]
+    rnd.shuffle(flipped)
+    compact = DualGraph._from_parts(dict(nodes), flipped, h.c)
+    assert shuffled == h == compact
+    assert hash(shuffled) == hash(h) == hash(compact)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilyInstance(3, A=(1000,), n=2, l=l_bound((1000,), 2)),
+        FamilyInstance(
+            5, A=(10**6,), n=10**7, b=(3,), l=sys.maxsize, m=sys.maxsize
+        ),
+    ],
+    ids=["family 3 at l_bound", "family 5 at maxsize"],
+)
+def test_hash_and_equality_never_expand_a_run(monkeypatch, spec):
+    def refused(self):
+        raise AssertionError("a run was expanded")
+
+    monkeypatch.setattr(DualGraph, "_expand", refused)
+    g, again = build_family(spec, strict=False), build_family(spec, strict=False)
+    assert g == again and hash(g) == hash(again)
+    assert g.minus_c() == again.minus_c()
+    assert hash(g.minus_c()) == hash(again.minus_c())
+    assert g != g.with_mark(None) and g != g.minus_c()
+    assert len({g, again, g.with_mark(None), g.minus_c()}) == 3
+
+
+def _filtered(g, v):
+    """g without v, filtered at vertex level: the reference for delete."""
+    weights = {u: w for u, w in g.weights.items() if u != v}
+    edges = [e for e in g.edges if v not in e]
+    return DualGraph(weights, edges, None if g.c == v else g.c)
+
+
 def _cut_like_vertex_data(g, v):
-    """g.delete(v) on g's compact form; it must equal the vertex-level
+    """g.delete(v), cut on g's compact form; it must equal the vertex-level
     reference, run types (range or tuple) included."""
-    g._compact()
     cut = g.delete(v)
     assert cut._weights is None  # re-joined on the compact form
-    want = DualGraph(g.weights, g.edges, g.c).delete(v)._compact()
+    want = _filtered(g, v)._compact()
     assert cut._compact() == want
     return want
 
