@@ -20,9 +20,13 @@ either reruns _normalize only when a (-2)-vertex must join a run.  Both take
 time independent of the run lengths.  Every structural query (cuts,
 neighbours, degrees, edge tests, the hash, the passes below) reads only the
 compact form, compressing vertex-level data on first use, and expands no run.
-Vertex-level weights and edges are expanded lazily, once; the edits
-(blow_down, the blow-ups, contract_all) read only them and never compress a
-graph, and so do DGN, adjacency and == between two graphs holding them.
+Vertex-level weights and edges (_edges: a sorted tuple of distinct (u, v),
+u < v) are expanded lazily, once; the edits (blow_down, the blow-ups,
+contract_all) read only them and never compress a graph, and so do DGN,
+adjacency and == between two graphs holding them.  An edit splices copies of
+the parent's checked data, deleting or insorting only the touched entries,
+and does not validate them again; the parent's _weights and _edges, which
+with_mark copies share, never change.
 
 One DFS over the core, once per graph, finds the components (_core_dfs),
 each as its core vertices, its runs and its count of core-to-core links;
@@ -57,7 +61,7 @@ progression along each run.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
@@ -96,11 +100,13 @@ class DualGraph:
     ):
         w = dict(weights)
         for v, wt in w.items():
-            if not isinstance(v, int) or not isinstance(wt, int):
+            if type(v) is not int or type(wt) is not int:  # bool is refused
                 raise ValueError("vertex ids and weights must be integers")
         seen: set[tuple[int, int]] = set()
         norm: list[tuple[int, int]] = []
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u},{v}) endpoints must be integers")
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
             if u not in w or v not in w:
@@ -110,7 +116,7 @@ class DualGraph:
                 raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
             seen.add(key)
             norm.append(key)
-        if c is not None and c not in w:
+        if c is not None and (type(c) is not int or c not in w):
             raise ValueError(f"marked vertex {c} does not exist")
         self._init(None, None, w, tuple(sorted(norm)), c)
 
@@ -124,6 +130,13 @@ class DualGraph:
         self._pass: _TreePass | _CorePass | None = None
         self._dfs: _CoreDFS | None = None
         self._minus_c: DualGraph | None = None
+
+    @classmethod
+    def _from_vertices(cls, weights: dict[int, int], edges: tuple, c):
+        """Checked vertex-level data, edges as _edges keeps them; no check."""
+        g = cls.__new__(cls)
+        g._init(None, None, weights, edges, c)
+        return g
 
     @classmethod
     def _from_parts(cls, nodes: dict[int, int], links: list[_Link], c):
@@ -353,7 +366,7 @@ class DualGraph:
         return self._minus_c
 
     def with_mark(self, v: int | None) -> "DualGraph":
-        if v is not None and v not in self:
+        if v is not None and (type(v) is not int or v not in self):
             raise ValueError(f"marked vertex {v} does not exist")
         g = DualGraph.__new__(DualGraph)
         g._init(self._core, self._links, self._weights, self._edges, v)
@@ -856,55 +869,70 @@ def blow_down(g: DualGraph, v: int) -> DualGraph:
     (WouldBreakChain), and its two neighbors, when present, must not already
     be adjacent (WouldCreateCycle).  Each neighbor's weight increases by 1;
     with two neighbors the traversing edge is fused.  Remaining ids are kept;
-    a mark on v disappears with it.
+    a mark on v disappears with it.  Spliced from g's checked vertex-level
+    data (bisect on the sorted edges) and not validated again.
     """
-    if v not in g:
+    weights, edges = g._expand()
+    if v not in weights:
         raise ValueError(f"no vertex {v}")
-    if g.weight(v) != -1:
-        raise NotContractibleCurve(f"vertex {v} has weight {g.weight(v)}, not -1")
-    edges = [e for e in g.edges if v not in e]
-    nbrs = tuple(sorted(u for e in g.edges if v in e for u in e if u != v))
+    if weights[v] != -1:
+        raise NotContractibleCurve(f"vertex {v} has weight {weights[v]}, not -1")
+    lo, hi = bisect_left(edges, (v,)), bisect_left(edges, (v + 1,))
+    below = [u for u, x in edges[:lo] if x == v]
+    nbrs = below + [x for _, x in edges[lo:hi]]  # sorted, as edges are
     if len(nbrs) > 2:
         raise WouldBreakChain(f"vertex {v} has degree {len(nbrs)} > 2")
+    new = list(edges)
+    del new[lo:hi]
+    for u in below:
+        new.remove((u, v))
     if len(nbrs) == 2:
-        if nbrs in edges:
+        if tuple(nbrs) in edges:
             raise WouldCreateCycle(
                 f"neighbors {nbrs[0]} and {nbrs[1]} of {v} are already adjacent"
             )
-        edges.append(nbrs)
-    weights = {u: w + 1 if u in nbrs else w for u, w in g.weights.items() if u != v}
-    return DualGraph(weights, edges, None if g.c == v else g.c)
+        insort(new, tuple(nbrs))
+    weights = {**weights, **{u: weights[u] + 1 for u in nbrs}}
+    del weights[v]
+    return DualGraph._from_vertices(weights, tuple(new), None if g.c == v else g.c)
 
 
 def _fresh_id(g: DualGraph, new_id: int | None) -> int:
-    """new_id, or one past the largest id, checked to be unused."""
-    w = new_id if new_id is not None else max(g.vertex_ids, default=0) + 1
+    """new_id, or one past the largest id, checked to be an unused int."""
+    w = new_id if new_id is not None else max(g._expand()[0], default=0) + 1
     if w in g:
         raise ValueError(f"vertex id {w} already in use")
+    if type(w) is not int:
+        raise ValueError("vertex ids and weights must be integers")
     return w
 
 
 def _blow_up(g: DualGraph, ends: tuple[int, ...], new_id: int | None) -> DualGraph:
     """A fresh (-1)-vertex joined to ends, each of which weighs 1 less; two
-    ends are an edge, which the new vertex replaces."""
+    ends are an edge of g, which the new vertex replaces.  Spliced from g's
+    checked vertex-level data like blow_down, and not validated again."""
     w = _fresh_id(g, new_id)
-    weights = {x: wt - 1 if x in ends else wt for x, wt in g.weights.items()}
-    weights[w] = -1
-    edges = [e for e in g.edges if e != ends] + [(x, w) for x in ends]
-    return DualGraph(weights, edges, g.c)
+    weights, edges = g._expand()
+    new = list(edges)
+    if len(ends) == 2:
+        new.remove(ends)
+    for x in ends:
+        insort(new, (x, w) if x < w else (w, x))
+    weights = {**weights, **{x: weights[x] - 1 for x in ends}, w: -1}
+    return DualGraph._from_vertices(weights, tuple(new), g.c)
 
 
 def blow_up_edge(g: DualGraph, u: int, v: int, new_id: int | None = None) -> DualGraph:
     """Insert a fresh (-1)-vertex on the edge (u, v), decrementing u and v."""
     key = (u, v) if u < v else (v, u)
-    if key not in g.edges:
+    if type(u) is not int or type(v) is not int or key not in g.edges:
         raise ValueError(f"no edge ({u},{v})")
     return _blow_up(g, key, new_id)
 
 
 def blow_up_at(g: DualGraph, u: int, new_id: int | None = None) -> DualGraph:
     """Attach a fresh (-1)-leaf at u, decrementing u's weight."""
-    if u not in g:
+    if type(u) is not int or u not in g:
         raise ValueError(f"no vertex {u}")
     return _blow_up(g, (u,), new_id)
 
@@ -929,7 +957,8 @@ def contract_all(g: DualGraph) -> DualGraph:
     aside.  Only the neighbors of a blown-down vertex change weight, degree
     or neighbors, and an edge goes only where it met the blown-down vertex,
     so those neighbors are the only vertices that can turn eligible (or stop
-    being stuck) and the only ones pushed again.  The cost is O(n log n).
+    being stuck) and the only ones pushed again.  The cost is O(n log n), and
+    the result, built from g's checked data, is not validated again.
     """
     weights = g.weights
     adj: dict[int, set[int]] = {v: set() for v in weights}
@@ -967,10 +996,8 @@ def contract_all(g: DualGraph) -> DualGraph:
         del adj[v]
         if c == v:
             c = None
-    edges = sorted(
-        (u, v) for u, nbs in adj.items() for v in nbs if u < v
-    )
-    return DualGraph(weights, edges, c)
+    edges = tuple(sorted((u, v) for u, nbs in adj.items() for v in nbs if u < v))
+    return DualGraph._from_vertices(weights, edges, c)
 
 
 def _neighbors_adjacent(adj: dict[int, set[int]], v: int) -> bool:

@@ -2,7 +2,8 @@
 
 Everything here works on plain list-of-lists integer matrices so that none of
 the package's elimination code is in the loop, except contract_all_rescan,
-shape_report_dfs, canonical_form_dfs and the Fraction adjunction solve
+blow_down_rebuild, blow_up_rebuild, shape_report_dfs, canonical_form_dfs
+and the Fraction adjunction solve
 (solve_forest_fraction and its readers), which read DualGraphs and, on a
 forest, the library's integer tree pass, and fujita_suite_eager, which runs
 the library's twig functions.  The Fraction twig calculus (inductance_fraction,
@@ -221,6 +222,58 @@ def contract_all_rescan(g, pick):
         (u, v) for u, nbs in adj.items() for v in nbs if u < v
     )
     return DualGraph(weights, edges, c)
+
+
+def blow_down_rebuild(g, v):
+    """blow_down by rebuilding every weight and edge with comprehensions and
+    validating the result through the public DualGraph constructor: the
+    reference for the library's splice of g's checked data."""
+    from dualgraph.errors import (
+        NotContractibleCurve,
+        WouldBreakChain,
+        WouldCreateCycle,
+    )
+    from dualgraph.graphs import DualGraph
+
+    if v not in g:
+        raise ValueError(f"no vertex {v}")
+    if g.weight(v) != -1:
+        raise NotContractibleCurve(f"vertex {v} has weight {g.weight(v)}, not -1")
+    edges = [e for e in g.edges if v not in e]
+    nbrs = tuple(sorted(u for e in g.edges if v in e for u in e if u != v))
+    if len(nbrs) > 2:
+        raise WouldBreakChain(f"vertex {v} has degree {len(nbrs)} > 2")
+    if len(nbrs) == 2:
+        if nbrs in edges:
+            raise WouldCreateCycle(
+                f"neighbors {nbrs[0]} and {nbrs[1]} of {v} are already adjacent"
+            )
+        edges.append(nbrs)
+    weights = {u: w + 1 if u in nbrs else w for u, w in g.weights.items() if u != v}
+    return DualGraph(weights, edges, None if g.c == v else g.c)
+
+
+def blow_up_rebuild(g, ends, new_id=None):
+    """The blow-ups rebuilt and validated like blow_down_rebuild, with their
+    checks: ends (u, v) is blow_up_edge's edge, (u,) blow_up_at's vertex and
+    () blow_up_free's nothing.  A fresh (-1)-vertex new_id, or one past the
+    largest id, is joined to ends, each of which weighs 1 less."""
+    from dualgraph.graphs import DualGraph
+
+    if len(ends) == 2:
+        u, v = ends
+        ends = (u, v) if u < v else (v, u)
+        if ends not in g.edges:
+            raise ValueError(f"no edge ({u},{v})")
+    elif ends and ends[0] not in g:
+        raise ValueError(f"no vertex {ends[0]}")
+    w = new_id if new_id is not None else max(g.vertex_ids, default=0) + 1
+    if w in g:
+        raise ValueError(f"vertex id {w} already in use")
+    weights = {x: wt - 1 if x in ends else wt for x, wt in g.weights.items()}
+    weights[w] = -1
+    edges = [e for e in g.edges if e != ends] + [(x, w) for x in ends]
+    return DualGraph(weights, edges, g.c)
 
 
 def _vertex_components(adj):

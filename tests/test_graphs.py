@@ -43,6 +43,8 @@ from dualgraph.twigs import twig_determinant
 from oracles import (
     canonical_form_dfs,
     charpoly_negdef,
+    blow_down_rebuild,
+    blow_up_rebuild,
     contract_all_rescan,
     dense_adjunction_solve,
     dense_det,
@@ -82,6 +84,38 @@ def test_construction_rejects_bad_input():
         DualGraph({1: -2}, [(1, 2)])  # dangling edge
     with pytest.raises(ValueError):
         DualGraph({1: -2}, [], c=5)  # mark on missing vertex
+
+
+@pytest.mark.parametrize(
+    "weights, edges, c",
+    [
+        ({1: -1, 2: -2}, [(1.0, 2)], 2),  # DGN would write "e 1.0 2"
+        ({1: -1, 2: -2}, [(1, 2)], 2.0),
+        ({True: -1, 2: -2}, [(True, 2)], None),  # "v True -1"
+        ({1: -1, 2: False}, [(1, 2)], None),
+        ({1: -1, 2: -2}, [(True, 2)], None),
+        ({1: -1, 2: -2}, [], True),
+    ],
+)
+def test_construction_refuses_what_dgn_cannot_write(weights, edges, c):
+    with pytest.raises(ValueError):
+        DualGraph(weights, edges, c)
+
+
+def test_marks_and_edits_refuse_ids_that_are_not_ints():
+    g = DualGraph({1: -1, 2: -2}, [(1, 2)])
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="does not exist"):
+            g.with_mark(bad)
+        with pytest.raises(ValueError, match="no vertex"):
+            blow_up_at(g, bad)
+        with pytest.raises(ValueError, match="no edge"):
+            blow_up_edge(g, bad, 2)
+    for bad in (3.0, False, "x"):
+        with pytest.raises(ValueError, match="must be integers"):
+            blow_up_free(g, new_id=bad)
+    with pytest.raises(ValueError, match="already in use"):
+        blow_up_free(g, new_id=1.0)
 
 
 def test_equality_and_mark():
@@ -575,6 +609,85 @@ def test_edits_of_vertex_level_data_never_compress(monkeypatch):
         blow_down(triangle, 1)
     with pytest.raises(ValueError, match="no edge"):
         blow_up_edge(g, 1, 3)
+
+
+_EDIT_FAMILIES = [
+    FamilyInstance(1, n=4),
+    FamilyInstance(2, A=(3,), n=2),
+    FamilyInstance(3, A=(2,), n=2, l=0),
+    FamilyInstance(3, A=(2,), n=2, l=3),
+    FamilyInstance(4, A=(2,), n=2, l=2, b=(3,)),
+    FamilyInstance(5, A=(2,), n=3, l=1, b=(3,), m=1),
+    FamilyInstance(7, A=(2,), n=2, b=(3,), m=1),
+]
+
+
+@st.composite
+def _edit_inputs(draw):
+    """A vertex-level graph with scattered ids and many (-1)-vertices, often
+    on a triangle, or a family boundary that holds only the compact form."""
+    if draw(st.booleans()):
+        return build_family(draw(st.sampled_from(_EDIT_FAMILIES)))
+    k = draw(st.integers(0, 8))
+    ids = draw(st.lists(st.integers(-10, 12), min_size=k, max_size=k, unique=True))
+    ws = draw(st.lists(st.sampled_from((-1, -1, -2, -3, 0)), min_size=k, max_size=k))
+    pairs = list(itertools.combinations(ids, 2))
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=12) if pairs else st.just([])))
+    if k >= 3 and draw(st.booleans()):
+        edges |= {pairs[0], pairs[1], pairs[k - 1]}  # a triangle on ids[:3]
+    return DualGraph(dict(zip(ids, ws)), edges, draw(st.sampled_from([None] + ids)))
+
+
+def _outcome(edit, *args):
+    """The edit's graph, or the type and text of the error it raised."""
+    try:
+        return edit(*args)
+    except (ValueError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _draw_edit(data, g):
+    """One edit of g, as the library call and the oracle call."""
+    ids = sorted(g.weights)
+    ones = [v for v in ids if g.weight(v) == -1]
+    x = data.draw(st.sampled_from(ones + ids + [max(ids, default=0) + 7]))
+    new_id = data.draw(st.sampled_from([None, None, x, -50]))  # x may be in use
+    pairs = list(g.edges) + list(itertools.combinations(ids[:4], 2))
+    u, v = data.draw(st.sampled_from(pairs)) if pairs else (0, 1)
+    return data.draw(st.sampled_from([
+        (lambda: blow_up_edge(g, v, u, new_id), lambda: blow_up_rebuild(g, (v, u), new_id)),
+        (lambda: blow_up_at(g, x, new_id), lambda: blow_up_rebuild(g, (x,), new_id)),
+        (lambda: blow_up_free(g, new_id), lambda: blow_up_rebuild(g, (), new_id)),
+        (lambda: blow_down(g, x), lambda: blow_down_rebuild(g, x)),
+        (lambda: blow_down(g, x), lambda: blow_down_rebuild(g, x)),
+        (lambda: contract_all(g), lambda: contract_all_rescan(g, min)),
+    ]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edit_inputs(), st.data())
+def test_edits_splice_like_the_rebuild_oracle(g, data):
+    """Chains of edits give the oracle's graphs, weights in the same order,
+    keep the edge invariant, leave the parent as it was, and refuse what the
+    oracle refuses, with its error type and message; a refused edit leaves
+    the chain where it was."""
+    for _ in range(data.draw(st.integers(1, 10))):
+        edit, oracle = _draw_edit(data, g)
+        want = _outcome(oracle)
+        weights, edges = list(g._weights.items()), g._edges  # _draw_edit expanded g
+        got = _outcome(edit)
+        assert list(g._weights.items()) == weights and g._edges == edges
+        if not isinstance(want, DualGraph):
+            assert got == want
+            continue
+        assert (list(got.weights.items()), got.edges, got.c) == (
+            list(want.weights.items()), want.edges, want.c
+        )
+        assert type(got._edges) is tuple
+        assert all(u < v for u, v in got._edges)
+        assert list(got._edges) == sorted(set(got._edges))
+        assert DualGraph(got.weights, got.edges, got.c) == got
+        g = got
 
 
 # -- contract_all -------------------------------------------------------------
