@@ -116,7 +116,7 @@ def parse_dgn(text: str) -> DualGraph:
             missing = u if u not in weights else v
             raise ParseError(line_no, f"edge references undeclared vertex {missing}")
     # every check DualGraph() makes has been made above, with line numbers
-    return DualGraph._from_vertices(weights, tuple(sorted(edges)), c)
+    return DualGraph._make(None, None, weights, tuple(sorted(edges)), c)
 
 
 def serialize_dgn(g: DualGraph) -> str:

@@ -84,24 +84,9 @@ class FamilyInstance:
         if "family" not in data:
             raise InvalidFamilyParams("family spec needs a 'family' field")
         _check_family(data["family"])
-        kwargs: dict = {"family": data["family"]}
-        for key in ("n", "l", "m"):
-            if key in data:
-                val = data[key]
-                if not isinstance(val, int) or isinstance(val, bool):
-                    raise InvalidFamilyParams(f"field {key!r} must be an integer")
-                kwargs[key] = val
-        for key in ("A", "b"):
-            if key in data:
-                val = data[key]
-                if not isinstance(val, list) or not all(
-                    isinstance(x, int) and not isinstance(x, bool) for x in val
-                ):
-                    raise InvalidFamilyParams(
-                        f"field {key!r} must be a list of integers"
-                    )
-                kwargs[key] = tuple(val)
-        return FamilyInstance(**kwargs)
+        _check_types(data, data)
+        twigs = {k: tuple(data[k]) for k in ("A", "b") if k in data}
+        return FamilyInstance(**{**data, **twigs})
 
 
 @dataclass(frozen=True)
@@ -131,6 +116,21 @@ def _check_family(family) -> None:
         raise InvalidFamilyParams(f"family must be 1..7, got {family!r}")
 
 
+def _check_types(fields: dict, keys) -> None:
+    """Refuse the first of the fields n, l, m, A, b, in that order, that is
+    in keys and is not an int (n, l, m) or a list or tuple of ints (A, b);
+    type() refuses bool and float."""
+    for key in ("n", "l", "m"):
+        if key in keys and type(fields[key]) is not int:
+            raise InvalidFamilyParams(f"field {key!r} must be an integer")
+    for key in ("A", "b"):
+        if key in keys and (
+            type(fields[key]) not in (list, tuple)
+            or not set(map(type, fields[key])) <= {int}
+        ):
+            raise InvalidFamilyParams(f"field {key!r} must be a list of integers")
+
+
 def validate_family(spec: FamilyInstance, strict: bool = True) -> None:
     """Raise InvalidFamilyParams naming the violated constraint.
 
@@ -149,7 +149,8 @@ def validate_family(spec: FamilyInstance, strict: bool = True) -> None:
             raise InvalidFamilyParams(
                 f"family ({spec.family}) does not take field {key!r}"
             )
-    if not isinstance(spec.n, int) or spec.n < 2:
+    _check_types(vars(spec), required)
+    if spec.n < 2:
         raise InvalidFamilyParams("n >= 2 violated")
     if spec.A is not None:
         if len(spec.A) == 0 or not is_admissible(spec.A):
@@ -302,6 +303,7 @@ def figure1_graph(A: Twig, m: int, n: int) -> DualGraph:
     capped by (-n).  A=[2] with (m,n)=(0,2) is the one excluded parameter
     choice (its run would overshoot the contractibility bound).
     """
+    _check_types({"n": n, "m": m, "A": A}, ("n", "m", "A"))
     if len(A) == 0 or not is_admissible(A):
         raise InvalidFamilyParams("A must be a nonempty admissible twig")
     if n < 2:
@@ -457,7 +459,7 @@ def _match_side_arms(arms):
 def _parse_family_1(g):
     if len(g) != 2 or g.weight(g.c) != 0 or g.degree(g.c) != 1:
         return None, "unrecognized shape"
-    other = next(v for v in g.vertex_ids if v != g.c)
+    (other,) = g.neighbors(g.c)
     n = -g.weight(other)
     if n < 2:
         return None, "n >= 2 violated"

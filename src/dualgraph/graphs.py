@@ -17,16 +17,17 @@ oriented and sorted canonically, so equal graphs have equal compact forms.
 The family builders emit this form with their links oriented, so it is only
 sorted, and delete() cuts it and re-joins it only around the deleted vertex;
 either reruns _normalize only when a (-2)-vertex must join a run.  Both take
-time independent of the run lengths.  Every structural query (cuts,
-neighbours, degrees, edge tests, the hash, the passes below) reads only the
-compact form, compressing vertex-level data on first use, and expands no run.
+time independent of the run lengths.  Every query (weights, membership,
+size, ==, the hash, cuts, neighbours, degrees, edge tests, the passes below)
+reads only the compact form, compressing vertex-level data on first use, and
+expands no run; a run vertex is found by one scan of the links (_run_of).
 Vertex-level weights and edges (_edges: a sorted tuple of distinct (u, v),
-u < v) are expanded lazily, once; the edits (blow_down, the blow-ups,
-contract_all) read only them and never compress a graph, and so do DGN,
-adjacency and == between two graphs holding them.  An edit splices copies of
-the parent's checked data, deleting or insorting only the touched entries,
-and does not validate them again; the parent's _weights and _edges, which
-with_mark copies share, never change.
+u < v) are expanded lazily, once, and only the edits (blow_down, the
+blow-ups, contract_all), DGN and the views (weights, edges, vertex_ids, repr)
+read them; the edits never compress a graph.  An edit splices copies of the
+parent's checked data, deleting or insorting only the touched entries, and
+does not validate them again (_make); the parent's _weights and _edges,
+which with_mark copies share, never change.
 
 One DFS over the core, once per graph, finds the components (_core_dfs),
 each as its core vertices, its runs and its count of core-to-core links;
@@ -98,10 +99,13 @@ class DualGraph:
         edges: Iterable[tuple[int, int]] = (),
         c: int | None = None,
     ):
-        w = dict(weights)
-        for v, wt in w.items():
+        w: dict[int, int] = {}
+        for v, wt in weights.items() if isinstance(weights, Mapping) else weights:
             if type(v) is not int or type(wt) is not int:  # bool is refused
                 raise ValueError("vertex ids and weights must be integers")
+            if v in w:
+                raise ValueError(f"duplicate vertex id {v}")
+            w[v] = wt
         seen: set[tuple[int, int]] = set()
         norm: list[tuple[int, int]] = []
         for u, v in edges:
@@ -132,18 +136,18 @@ class DualGraph:
         self._minus_c: DualGraph | None = None
 
     @classmethod
-    def _from_vertices(cls, weights: dict[int, int], edges: tuple, c):
-        """Checked vertex-level data, edges as _edges keeps them; no check."""
+    def _make(cls, core, links, weights, edges, c) -> "DualGraph":
+        """A graph from checked parts, checked no further: the canonical
+        compact form, vertex-level data (edges as _edges keeps them), or
+        both; None for what is not given."""
         g = cls.__new__(cls)
-        g._init(None, None, weights, edges, c)
+        g._init(core, links, weights, edges, c)
         return g
 
     @classmethod
     def _from_parts(cls, nodes: dict[int, int], links: list[_Link], c):
         """Compact parts whose runs need not be maximal yet; see _normalize."""
-        g = cls.__new__(cls)
-        g._init(*_normalize(nodes, links), None, None, c)
-        return g
+        return cls._make(*_normalize(nodes, links), None, None, c)
 
     @classmethod
     def _from_oriented(cls, nodes: dict[int, int], links: list[_Link], c):
@@ -155,9 +159,7 @@ class DualGraph:
         ends = [end for a, b, _ in links for end in (a, b)]
         if any(w == -2 and 0 < ends.count(v) < 3 for v, w in nodes.items()):
             return cls._from_parts(nodes, links, c)
-        g = cls.__new__(cls)
-        g._init(nodes, tuple(sorted(links, key=_link_key)), None, None, c)
-        return g
+        return cls._make(nodes, tuple(sorted(links, key=_link_key)), None, None, c)
 
     def _compact(self) -> tuple[dict[int, int], tuple[_Link, ...]]:
         """Core weights and links, compressing vertex-level data once."""
@@ -167,7 +169,9 @@ class DualGraph:
         return self._core, self._links
 
     def _expand(self) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
-        """Vertex-level weights (in id order) and sorted edges, once."""
+        """Vertex-level weights and sorted edges, once.  Weights expanded
+        from the compact form are in id order; a graph built from
+        vertex-level data keeps the order it was given."""
         if self._weights is None:
             weights = dict(self._core)
             pairs: list[tuple[int, int]] = []
@@ -207,27 +211,15 @@ class DualGraph:
         return self._c
 
     def weight(self, v: int) -> int:
-        if self._weights is not None:
-            return self._weights[v]
-        w = self._core.get(v)
-        if w is not None:
-            return w
-        if any(v in ids for _, _, ids in self._links):
-            return -2
-        raise KeyError(v)
+        core = self._compact()[0]
+        if v in core:
+            return core[v]
+        self._run_of(v)  # KeyError off the graph
+        return -2
 
     @property
     def weights(self) -> dict[int, int]:
         return dict(self._expand()[0])
-
-    @property
-    def adjacency(self) -> dict[int, list[int]]:
-        weights, edges = self._expand()
-        adj: dict[int, list[int]] = {v: [] for v in weights}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
     def core_links(self) -> dict[int, list[_End]]:
         """Each core vertex's links as (far core end or None, run ids ordered
@@ -253,12 +245,18 @@ class DualGraph:
         ends = self.core_links().get(v)
         if ends is not None:
             return tuple(sorted(map(link_neighbor, ends)))
-        for a, b, ids in self._links:
-            if v in ids:
-                k = ids.index(v)
-                prev = ids[k - 1] if k else a
-                nxt = ids[k + 1] if k + 1 < len(ids) else b
-                return tuple(sorted(x for x in (prev, nxt) if x is not None))
+        a, b, ids = self._run_of(v)
+        k = ids.index(v)
+        prev = ids[k - 1] if k else a
+        nxt = ids[k + 1] if k + 1 < len(ids) else b
+        return tuple(sorted(x for x in (prev, nxt) if x is not None))
+
+    def _run_of(self, v: int) -> _Link:
+        """The link of the compact form whose run holds v; KeyError if none
+        does."""
+        for link in self._compact()[1]:
+            if v in link[2]:
+                return link
         raise KeyError(v)
 
     def degree(self, v: int) -> int:
@@ -275,24 +273,18 @@ class DualGraph:
 
     def _size(self) -> int:
         """The vertex count, which len() cannot return past sys.maxsize."""
-        if self._weights is not None:
-            return len(self._weights)
-        return len(self._core) + sum(len(ids) for _, _, ids in self._links)
+        core, links = self._compact()
+        return len(core) + sum(len(ids) for _, _, ids in links)
 
     def __contains__(self, v: int) -> bool:
-        if self._weights is not None:
-            return v in self._weights
-        return v in self._core or any(v in ids for _, _, ids in self._links)
+        core, links = self._compact()
+        return v in core or any(v in ids for _, _, ids in links)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DualGraph):
             return NotImplemented
-        if self._c != other._c:
-            return False
-        if self._weights is not None and other._weights is not None:
-            return self._weights == other._weights and self._edges == other._edges
         # compact forms are canonical, so they compare like the graphs
-        return self._compact() == other._compact()
+        return self._c == other._c and self._compact() == other._compact()
 
     def __hash__(self) -> int:
         """The hash of the canonical compact form, so equal graphs hash
@@ -320,8 +312,6 @@ class DualGraph:
         vertex-level data is expanded from the cut form if and when it is
         asked for.
         """
-        if v not in self:
-            raise ValueError(f"no vertex {v}")
         c = None if self._c == v else self._c
         core, old = self._compact()
         links: list[_Link] = []  # the links away from v, still sorted
@@ -338,9 +328,12 @@ class DualGraph:
                 else:
                     ends.append(b if a == v else a)
         else:
+            try:
+                a, b, ids = run = self._run_of(v)
+            except KeyError:
+                raise ValueError(f"no vertex {v}") from None
             links += old
-            i = next(i for i, (_, _, ids) in enumerate(links) if v in ids)
-            a, b, ids = links.pop(i)
+            links.remove(run)
             k = ids.index(v)
             pieces = [p for p in ((a, None, ids[:k]), (None, b, ids[k + 1 :])) if p[2]]
             ends = [a, b]
@@ -353,9 +346,7 @@ class DualGraph:
             for link in pieces:
                 insort(links, link, key=_link_key)
             links = tuple(links)
-        g = DualGraph.__new__(DualGraph)
-        g._init(core, links, None, None, c)
-        return g
+        return DualGraph._make(core, links, None, None, c)
 
     def minus_c(self) -> "DualGraph":
         """The graph without its C-vertex, cut on first use and kept."""
@@ -368,8 +359,7 @@ class DualGraph:
     def with_mark(self, v: int | None) -> "DualGraph":
         if v is not None and (type(v) is not int or v not in self):
             raise ValueError(f"marked vertex {v} does not exist")
-        g = DualGraph.__new__(DualGraph)
-        g._init(self._core, self._links, self._weights, self._edges, v)
+        g = DualGraph._make(self._core, self._links, self._weights, self._edges, v)
         g._inc, g._pass, g._dfs = self._inc, self._pass, self._dfs
         return g
 
@@ -894,13 +884,14 @@ def blow_down(g: DualGraph, v: int) -> DualGraph:
         insort(new, tuple(nbrs))
     weights = {**weights, **{u: weights[u] + 1 for u in nbrs}}
     del weights[v]
-    return DualGraph._from_vertices(weights, tuple(new), None if g.c == v else g.c)
+    return DualGraph._make(None, None, weights, tuple(new), None if g.c == v else g.c)
 
 
 def _fresh_id(g: DualGraph, new_id: int | None) -> int:
     """new_id, or one past the largest id, checked to be an unused int."""
-    w = new_id if new_id is not None else max(g._expand()[0], default=0) + 1
-    if w in g:
+    weights = g._expand()[0]
+    w = new_id if new_id is not None else max(weights, default=0) + 1
+    if w in weights:
         raise ValueError(f"vertex id {w} already in use")
     if type(w) is not int:
         raise ValueError("vertex ids and weights must be integers")
@@ -919,7 +910,7 @@ def _blow_up(g: DualGraph, ends: tuple[int, ...], new_id: int | None) -> DualGra
     for x in ends:
         insort(new, (x, w) if x < w else (w, x))
     weights = {**weights, **{x: weights[x] - 1 for x in ends}, w: -1}
-    return DualGraph._from_vertices(weights, tuple(new), g.c)
+    return DualGraph._make(None, None, weights, tuple(new), g.c)
 
 
 def blow_up_edge(g: DualGraph, u: int, v: int, new_id: int | None = None) -> DualGraph:
@@ -932,7 +923,7 @@ def blow_up_edge(g: DualGraph, u: int, v: int, new_id: int | None = None) -> Dua
 
 def blow_up_at(g: DualGraph, u: int, new_id: int | None = None) -> DualGraph:
     """Attach a fresh (-1)-leaf at u, decrementing u's weight."""
-    if type(u) is not int or u not in g:
+    if type(u) is not int or u not in g._expand()[0]:
         raise ValueError(f"no vertex {u}")
     return _blow_up(g, (u,), new_id)
 
@@ -997,7 +988,7 @@ def contract_all(g: DualGraph) -> DualGraph:
         if c == v:
             c = None
     edges = tuple(sorted((u, v) for u, nbs in adj.items() for v in nbs if u < v))
-    return DualGraph._from_vertices(weights, edges, c)
+    return DualGraph._make(None, None, weights, edges, c)
 
 
 def _neighbors_adjacent(adj: dict[int, set[int]], v: int) -> bool:

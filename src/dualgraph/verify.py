@@ -66,37 +66,22 @@ class Budget:
 
 def enumerate_admissible_twigs(max_len: int, max_weight: int) -> Iterator[Twig]:
     """All admissible twigs within the caps, in lexicographic order."""
+    return _twigs(max_len, max_weight)
 
-    def rec(prefix: Twig) -> Iterator[Twig]:
-        if len(prefix) >= max_len:
-            return
-        for a in range(2, max_weight + 1):
-            t = prefix + (a,)
+
+def _twigs(
+    max_len: int, max_weight: int, max_det: int | None = None, prefix: Twig = ()
+) -> Iterator[Twig]:
+    """The admissible twigs extending prefix within the caps (and with
+    determinant at most max_det), preorder lexicographic.  Appending a weight
+    strictly increases the determinant, so pruning at max_det is exact."""
+    if len(prefix) >= max_len:
+        return
+    for a in range(2, max_weight + 1):
+        t = prefix + (a,)
+        if max_det is None or twig_determinant(t) <= max_det:
             yield t
-            yield from rec(t)
-
-    yield from rec(())
-
-
-def _twigs_by_determinant(max_det: int, max_len: int) -> list[Twig]:
-    """Admissible twigs with determinant and length caps, lexicographic.
-
-    Appending a weight strictly increases the determinant, so pruning at the
-    cap is exact.
-    """
-    out: list[Twig] = []
-
-    def rec(prefix: Twig):
-        if len(prefix) >= max_len:
-            return
-        for a in range(2, max_det + 1):
-            t = prefix + (a,)
-            if twig_determinant(t) <= max_det:
-                out.append(t)
-                rec(t)
-
-    rec(())
-    return out
+            yield from _twigs(max_len, max_weight, max_det, t)
 
 
 def _b_twigs(budget: Budget) -> list[Twig]:
@@ -228,7 +213,7 @@ def verify_threshold_suite(
     length sweeps the entire range through bound+2 for every (A, n); families
     (4) and (5) use fixed small b (and m) representatives."""
     run = _Run("threshold", budget.to_json_dict())
-    twigs = _twigs_by_determinant(budget.max_det, budget.max_len)
+    twigs = list(_twigs(budget.max_len, budget.max_det, budget.max_det))
     b4 = _b_reps(budget, _THRESHOLD_B4)
     b5 = _b_reps(budget, _THRESHOLD_B5)
     ms = sorted({0, min(1, budget.max_m)})
@@ -303,7 +288,7 @@ def verify_trichotomy_suite(
     at two pinned (A,n) pockets).
     """
     run = _Run("trichotomy", budget.to_json_dict())
-    twigs = _twigs_by_determinant(budget.max_det, budget.max_len)
+    twigs = list(_twigs(budget.max_len, budget.max_det, budget.max_det))
     all_b = _b_twigs(budget)
     b4 = _b_reps(budget, _TRI_B4)
     b5 = _b_reps(budget, _TRI_B5)
@@ -368,7 +353,7 @@ def verify_boundary_axioms_suite(budget: Budget = Budget()) -> dict:
     and at most two chain-or-star components once C is removed.  Includes one
     frozen spot check per shape class."""
     run = _Run("axioms", budget.to_json_dict())
-    twigs = _twigs_by_determinant(budget.max_det, budget.max_len)
+    twigs = list(_twigs(budget.max_len, budget.max_det, budget.max_det))
     all_b = _b_twigs(budget)
     b_reps = _b_reps(budget, _AX_B)
     ms = sorted({m for m in (0, 1, budget.max_m) if m <= budget.max_m})
@@ -496,7 +481,7 @@ def verify_contraction_suite(
     same laws.  Also: contract_all keeps the determinant at -1 on every
     instance.  blow_fn is injectable so a corrupted move is caught."""
     run = _Run("contraction", budget.to_json_dict())
-    twigs = _twigs_by_determinant(budget.max_det, budget.max_len)
+    twigs = list(_twigs(budget.max_len, budget.max_det, budget.max_det))
     b_reps = _b_reps(budget, _CT_B)
     ms = sorted({m for m in (1, 2, budget.max_m) if 1 <= m <= budget.max_m})
 

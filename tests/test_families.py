@@ -32,6 +32,7 @@ from dualgraph.graphs import (
 from dualgraph.twigs import adjoint, twig_determinant
 from dualgraph.verify import enumerate_admissible_twigs
 
+from oracles import _adjacency
 from test_verify import TINY
 
 
@@ -209,10 +210,11 @@ def _assert_matches_recompressed(s):
 
 
 def _arm(g, center, first):
+    adj = _adjacency(g)
     ids = [first]
     prev, cur = center, first
     while g.degree(cur) == 2:
-        cur, prev = next(x for x in g.adjacency[cur] if x != prev), cur
+        cur, prev = next(x for x in adj[cur] if x != prev), cur
         ids.append(cur)
     return ids
 
@@ -232,11 +234,34 @@ class TestValidation:
             (dict(family=4, A=(2,), n=2, l=-1, b=(3,)), "l >= 0"),
             (dict(family=5, A=(2,), n=2, l=0, b=(3,), m=-1), "m >= 0"),
             (dict(family=True, n=2), "family must be"),
+            # parameters that are not ints, refused in the order n, l, m, A, b
+            (dict(family=3, A=(3.0,), n=2, l=1), "field 'A' must be a list"),
+            (dict(family=3, A=(3,), n=2, l=True), "field 'l' must be an integer"),
+            (dict(family=3, A=(3,), n=2, l=1.5), "field 'l' must be an integer"),
+            (dict(family=1, n=2.0), "field 'n' must be an integer"),
+            (dict(family=4, A=(2,), n=2, l=0, b=[3.0]), "field 'b' must be a list"),
+            (dict(family=5, A=(2,), n=2, l=0, b=(3,), m=False), "field 'm'"),
+            (dict(family=4, A=(True,), n=2.5, l=0.0, b=(3,)), "field 'n'"),
+            (dict(family=4, A=(True,), n=2, l=0.0, b=(3,)), "field 'l'"),
+            (dict(family=7, A=(2,), n=2, b="3", m=1), "field 'b' must be a list"),
         ],
     )
     def test_rejections(self, bad, message):
         with pytest.raises(InvalidFamilyParams, match=message):
             validate_family(FamilyInstance(**bad))
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (((3.0,), 0, 2), "'A' must be a list of integers"),
+            (((3,), 0.0, 2), "'m' must be an integer"),
+            (((3,), 0, True), "'n' must be an integer"),
+        ],
+        ids=["A-float", "m-float", "n-bool"],
+    )
+    def test_figure1_parameters_must_be_ints(self, args, field):
+        with pytest.raises(InvalidFamilyParams, match=f"^field {field}"):
+            figure1_graph(*args)
 
     def test_l_bound_is_enforced_only_when_strict(self):
         s = spec(3, A=(2,), n=2, l=5)  # bound is 4

@@ -41,6 +41,7 @@ from dualgraph.families import FamilyInstance, build_family, l_bound
 from dualgraph.twigs import twig_determinant
 
 from oracles import (
+    _adjacency,
     canonical_form_dfs,
     charpoly_negdef,
     blow_down_rebuild,
@@ -84,6 +85,8 @@ def test_construction_rejects_bad_input():
         DualGraph({1: -2}, [(1, 2)])  # dangling edge
     with pytest.raises(ValueError):
         DualGraph({1: -2}, [], c=5)  # mark on missing vertex
+    with pytest.raises(ValueError, match="^duplicate vertex id 1$"):
+        DualGraph([(1, -2), (1, -3), (2, -1)], [(1, 2)])  # pairs can repeat
 
 
 @pytest.mark.parametrize(
@@ -756,7 +759,7 @@ def test_contract_all_preserves_graph_d():
         assert graph_d(contract_all(g)) == graph_d(g)
 
 
-def test_contract_all_fast_lane_matches_general():
+def test_contract_all_on_random_chains_matches_the_rescan_oracle():
     rng = random.Random(5)
 
     def pick_min(xs):
@@ -1178,7 +1181,7 @@ def test_compact_form_round_trips_and_deletes_like_vertex_data(h):
     core, links = h._compact()
     g = DualGraph._from_parts(core, list(links), h.c)  # compact parts only
     assert g._compact() == (core, links)
-    adjacency = h.adjacency  # the vertex-level view
+    adjacency = _adjacency(h)  # the vertex-level reference
     for v in h.weights:
         assert g.neighbors(v) == tuple(sorted(adjacency[v]))
         assert g.degree(v) == len(adjacency[v])
@@ -1198,6 +1201,51 @@ def test_compact_form_round_trips_and_deletes_like_vertex_data(h):
         assert cut.c == plain.c
         assert cut._compact() == plain._compact()
         assert cut.weights == plain.weights and cut.edges == plain.edges
+
+
+class _Unreadable:
+    """Stands in for vertex-level data that a query must not read."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a query read vertex-level data")
+
+    __getitem__ = __len__ = __contains__ = __iter__ = __eq__ = _refuse
+    __hash__ = __bool__ = __getattr__ = _refuse
+
+
+def test_queries_read_only_the_compact_form():
+    # core 1, 20 and 30; a pendant range run 2..4 and a tuple run 10, 7, 12
+    weights = {1: -3, 2: -2, 3: -2, 4: -2, 10: -2, 7: -2, 12: -2, 20: -5, 30: -1}
+    edges = [(1, 2), (2, 3), (3, 4), (1, 10), (10, 7), (7, 12), (12, 20), (1, 30)]
+    adj = {v: sorted(u for e in edges if v in e for u in e if u != v) for v in weights}
+
+    def unreadable(c):
+        g = DualGraph(weights, edges, c)
+        g._compact()
+        g._weights = g._edges = _Unreadable()
+        return g
+
+    g, twin = unreadable(30), unreadable(30)
+    assert {type(ids) for _, _, ids in g._compact()[1] if ids} == {range, tuple}
+    assert len(g) == len(weights) and g == twin and hash(g) == hash(twin)
+    assert g != unreadable(None) and g != unreadable(1).delete(4)
+    for v, w in weights.items():
+        assert v in g and g.weight(v) == w
+        assert g.neighbors(v) == tuple(adj[v]) and g.degree(v) == len(adj[v])
+        assert all(g.has_edge(v, u) == (u in adj[v]) for u in weights)
+        cut = DualGraph(
+            {u: x for u, x in weights.items() if u != v},
+            [e for e in edges if v not in e],
+            None if v == 30 else 30,
+        )
+        assert g.delete(v) == cut
+    assert 99 not in g and not g.has_edge(1, 99) and not g.has_edge(99, 1)
+    with pytest.raises(KeyError):
+        g.weight(99)
+    with pytest.raises(KeyError):
+        g.neighbors(99)
+    with pytest.raises(ValueError, match="no vertex 99"):
+        g.delete(99)
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,7 +22,7 @@ from dualgraph.verify import (
     verify_trichotomy_suite,
 )
 
-from oracles import fujita_suite_eager, graph_neg_matrix, pivot_negdef
+from oracles import _adjacency, fujita_suite_eager, graph_neg_matrix, pivot_negdef
 
 SMALL = Budget(
     max_det=6, max_len=4, max_n=3, max_m=2, max_b_len=2, max_b_weight=5
@@ -134,7 +134,7 @@ def test_trichotomy_suite_catches_wrong_classification():
 
 def test_contraction_suite_catches_wrong_neighbor_weight():
     def bad_blow(g, v):
-        nbrs = sorted(g.adjacency[v], key=g.weight)
+        nbrs = sorted(_adjacency(g)[v], key=g.weight)
         h = blow_down(g, v)
         ws = dict(h.weights)
         ws[nbrs[0]] += 2
