@@ -20,14 +20,24 @@ either reruns _normalize only when a (-2)-vertex must join a run.  Both take
 time independent of the run lengths.  Every query (weights, membership,
 size, ==, the hash, cuts, neighbours, degrees, edge tests, the passes below)
 reads only the compact form, compressing vertex-level data on first use, and
-expands no run; a run vertex is found by one scan of the links (_run_of).
+expands no run; a run vertex is found by one scan of the links (_run_of), and
+only an int names a vertex.
+
 Vertex-level weights and edges (_edges: a sorted tuple of distinct (u, v),
-u < v) are expanded lazily, once, and only the edits (blow_down, the
-blow-ups, contract_all), DGN and the views (weights, edges, vertex_ids, repr)
-read them; the edits never compress a graph.  An edit splices copies of the
-parent's checked data, deleting or insorting only the touched entries, and
-does not validate them again (_make); the parent's _weights and _edges,
-which with_mark copies share, never change.
+u < v) are expanded lazily, once, and read only by DGN, the views (weights,
+edges, vertex_ids, repr) and the edits.  A graph that holds only the compact
+form (a family build, a cut, or blow_down or contract_all of such a graph,
+until a view expands it) is blown down and contracted on it: blow_down
+re-joins it around the vertex as delete() does, and contract_all eats a run
+in closed form, so both take time independent of the run lengths and return a
+graph that holds only the compact form, whose weights expand in id order as
+the parent's do.  A graph built from vertex-level data keeps the order its
+weights were given in, which the compact form does not record, so its edits
+splice that data, as the blow-ups do on every graph (a blow-up's new vertex
+comes last in its weights).  A splice copies the parent's checked data,
+deleting or insorting only the touched entries, and never compresses; no
+edit validates its result again (_make), and the parent's data, which
+with_mark copies share, never changes.
 
 One DFS over the core, once per graph, finds the components (_core_dfs),
 each as its core vertices, its runs and its count of core-to-core links;
@@ -212,7 +222,7 @@ class DualGraph:
 
     def weight(self, v: int) -> int:
         core = self._compact()[0]
-        if v in core:
+        if type(v) is int and v in core:
             return core[v]
         self._run_of(v)  # KeyError off the graph
         return -2
@@ -242,7 +252,7 @@ class DualGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbours of v, read from the compact form (compressing
         vertex-level data first), so a run is never expanded."""
-        ends = self.core_links().get(v)
+        ends = self.core_links().get(v) if type(v) is int else None
         if ends is not None:
             return tuple(sorted(map(link_neighbor, ends)))
         a, b, ids = self._run_of(v)
@@ -253,10 +263,12 @@ class DualGraph:
 
     def _run_of(self, v: int) -> _Link:
         """The link of the compact form whose run holds v; KeyError if none
-        does."""
-        for link in self._compact()[1]:
-            if v in link[2]:
-                return link
+        does.  Only an int names a vertex: range membership of anything else
+        is a scan of the run."""
+        if type(v) is int:
+            for link in self._compact()[1]:
+                if v in link[2]:
+                    return link
         raise KeyError(v)
 
     def degree(self, v: int) -> int:
@@ -264,7 +276,7 @@ class DualGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         try:
-            return v in self.neighbors(u)
+            return type(v) is int and v in self.neighbors(u)
         except KeyError:
             return False
 
@@ -277,6 +289,8 @@ class DualGraph:
         return len(core) + sum(len(ids) for _, _, ids in links)
 
     def __contains__(self, v: int) -> bool:
+        if type(v) is not int:
+            return False
         core, links = self._compact()
         return v in core or any(v in ids for _, _, ids in links)
 
@@ -317,7 +331,7 @@ class DualGraph:
         links: list[_Link] = []  # the links away from v, still sorted
         pieces: list[_Link] = []
         ends: list[int | None] = []  # core ends that might now be absorbed
-        if v in core:
+        if type(v) is int and v in core:
             core = {u: w for u, w in core.items() if u != v}
             for link in old:
                 a, b, ids = link
@@ -859,32 +873,82 @@ def blow_down(g: DualGraph, v: int) -> DualGraph:
     (WouldBreakChain), and its two neighbors, when present, must not already
     be adjacent (WouldCreateCycle).  Each neighbor's weight increases by 1;
     with two neighbors the traversing edge is fused.  Remaining ids are kept;
-    a mark on v disappears with it.  Spliced from g's checked vertex-level
-    data (bisect on the sorted edges) and not validated again.
+    a mark on v disappears with it.  The result is built from g's checked
+    data and not validated again.  A graph that holds only the compact form
+    is cut and re-joined around v (_blow_down_compact), in time independent
+    of the run lengths; one with vertex-level data is spliced from it (bisect
+    on the sorted edges) in O(n), so its weights keep their order.
     """
-    weights, edges = g._expand()
-    if v not in weights:
-        raise ValueError(f"no vertex {v}")
-    if weights[v] != -1:
-        raise NotContractibleCurve(f"vertex {v} has weight {weights[v]}, not -1")
-    lo, hi = bisect_left(edges, (v,)), bisect_left(edges, (v + 1,))
-    below = [u for u, x in edges[:lo] if x == v]
-    nbrs = below + [x for _, x in edges[lo:hi]]  # sorted, as edges are
+    compact = g._weights is None
+    if compact:
+        if v not in g:
+            raise ValueError(f"no vertex {v}")
+        w, nbrs = g.weight(v), list(g.neighbors(v))
+    else:
+        weights, edges = g._expand()
+        if type(v) is not int or v not in weights:
+            raise ValueError(f"no vertex {v}")
+        lo, hi = bisect_left(edges, (v,)), bisect_left(edges, (v + 1,))
+        below = [u for u, x in edges[:lo] if x == v]
+        w, nbrs = weights[v], below + [x for _, x in edges[lo:hi]]  # sorted
+    if w != -1:
+        raise NotContractibleCurve(f"vertex {v} has weight {w}, not -1")
     if len(nbrs) > 2:
         raise WouldBreakChain(f"vertex {v} has degree {len(nbrs)} > 2")
+    if len(nbrs) == 2 and (
+        nbrs[1] in g.neighbors(nbrs[0]) if compact else tuple(nbrs) in edges
+    ):
+        raise WouldCreateCycle(
+            f"neighbors {nbrs[0]} and {nbrs[1]} of {v} are already adjacent"
+        )
+    c = None if g.c == v else g.c
+    if compact:
+        return _blow_down_compact(g, v, nbrs, c)
     new = list(edges)
     del new[lo:hi]
     for u in below:
         new.remove((u, v))
     if len(nbrs) == 2:
-        if tuple(nbrs) in edges:
-            raise WouldCreateCycle(
-                f"neighbors {nbrs[0]} and {nbrs[1]} of {v} are already adjacent"
-            )
         insort(new, tuple(nbrs))
     weights = {**weights, **{u: weights[u] + 1 for u in nbrs}}
     del weights[v]
-    return DualGraph._make(None, None, weights, tuple(new), None if g.c == v else g.c)
+    return DualGraph._make(None, None, weights, tuple(new), c)
+
+
+def _blow_down_compact(g: DualGraph, v: int, nbrs: list[int], c) -> DualGraph:
+    """blow_down of the core (-1)-vertex v, with sorted neighbors nbrs, on
+    g's compact form, re-joined only around v as delete() does it.  The links
+    away from v keep their places.  Each run next to v loses v, and its end
+    next to v goes from -2 to -1 and becomes core; the fused edge joins
+    nbrs.  These pieces are oriented and inserted in order; _normalize runs
+    only when a core neighbor now weighs -2 and might join a run."""
+    core, old = g._compact()
+    core = {u: w for u, w in core.items() if u != v}
+    links: list[_Link] = []
+    pieces: list[_Link] = [(*nbrs, ())] if len(nbrs) == 2 else []
+    for link in old:
+        a, b, ids = link
+        if a != v and b != v:
+            links.append(link)
+            continue
+        if a != v:
+            a, b, ids = b, a, ids[::-1]
+        if not ids:
+            core[b] += 1
+            continue
+        a, ids = ids[0], ids[1:]
+        if b == v:  # a self-loop: the run's other end becomes core too
+            b, ids = ids[-1], ids[:-1]
+            core[b] = -1
+        core[a] = -1
+        if ids or b is not None:
+            pieces.append((a, b, ids))
+    if any(core[u] == -2 for u in nbrs):
+        core, links = _normalize(core, links + pieces)
+    else:
+        for link in _orient(pieces)[1]:  # each piece has a core end
+            insort(links, link, key=_link_key)
+    return DualGraph._make(core, tuple(links), None, None, c)
 
 
 def _fresh_id(g: DualGraph, new_id: int | None) -> int:
@@ -948,9 +1012,13 @@ def contract_all(g: DualGraph) -> DualGraph:
     aside.  Only the neighbors of a blown-down vertex change weight, degree
     or neighbors, and an edge goes only where it met the blown-down vertex,
     so those neighbors are the only vertices that can turn eligible (or stop
-    being stuck) and the only ones pushed again.  The cost is O(n log n), and
-    the result, built from g's checked data, is not validated again.
+    being stuck) and the only ones pushed again.  On vertex-level data this
+    costs O(n log n).  A graph that holds only the compact form is contracted
+    on it (_contract_compact), in time independent of the run lengths.  The
+    result, built from g's checked data, is not validated again.
     """
+    if g._weights is None:
+        return _contract_compact(g)
     weights = g.weights
     adj: dict[int, set[int]] = {v: set() for v in weights}
     for u, v in g.edges:
@@ -962,10 +1030,7 @@ def contract_all(g: DualGraph) -> DualGraph:
     while len(weights) > 2:
         if not heap:
             if aside:
-                raise WouldCreateCycle(
-                    f"every contractible (-1)-vertex (e.g. {min(aside)}) "
-                    "has adjacent neighbors"
-                )
+                raise _stuck(aside)
             break
         v = heappop(heap)
         if weights.get(v) != -1 or len(adj[v]) > 2:
@@ -991,9 +1056,151 @@ def contract_all(g: DualGraph) -> DualGraph:
     return DualGraph._make(None, None, weights, edges, c)
 
 
+def _stuck(aside: set[int]) -> WouldCreateCycle:
+    return WouldCreateCycle(
+        f"every contractible (-1)-vertex (e.g. {min(aside)}) has adjacent neighbors"
+    )
+
+
 def _neighbors_adjacent(adj: dict[int, set[int]], v: int) -> bool:
     a, b = adj[v]
     return b in adj[a]
+
+
+def _contract_compact(g: DualGraph) -> DualGraph:
+    """contract_all on g's compact form: the same heap order, the same
+    vertices set aside, the same result.
+
+    adj maps each core vertex to its neighbors, each with the link it lies
+    on as (far core end or None, run ids ordered away from the vertex).  A
+    (-1)-vertex is core, so the heap holds only core vertices.  Blowing one
+    down turns the end of each run next to it into a (-1) core vertex; the
+    form is made canonical again once, at the end.  When v has one run link
+    and at most one other neighbor o, joined by an edge, the contraction
+    often goes on down that run, o gaining 1 for each vertex: _eat_run eats
+    those vertices in closed form before v is blown down.
+    """
+    core, links = g._compact()
+    wts = dict(core)
+    adj: dict[int, dict[int, _End]] = {u: {} for u in core}
+    free = []  # (-2)-chains without core: no (-1), never touched
+    n, c = len(core), g.c
+    for link in links:
+        a, b, ids = link
+        n += len(ids)
+        if a is None:
+            free.append(link)
+            continue
+        adj[a][ids[0] if ids else b] = (b, ids)
+        if b is not None:
+            adj[b][ids[-1] if ids else a] = (a, ids[::-1])
+    heap = sorted(v for v, w in core.items() if w == -1)
+    aside: set[int] = set()
+    while n > 2:
+        if not heap:
+            if aside:
+                raise _stuck(aside)
+            break
+        v = heappop(heap)
+        nb = adj.get(v)
+        if wts.get(v) != -1 or len(nb) > 2:
+            aside.discard(v)
+            continue
+        if len(nb) == 2 and _ends_adjacent(adj, nb):
+            aside.add(v)
+            continue
+        aside.discard(v)
+        eaten = _eat_run(heap, wts, adj, v, n)
+        if eaten:
+            n -= len(eaten)
+            if c in eaten:
+                c = None
+        del wts[v], adj[v]
+        n -= 1
+        if c == v:
+            c = None
+        for x, (far, ids) in nb.items():
+            if not ids:  # a core neighbor: one link fewer, 1 heavier
+                del adj[x][v]
+                wts[x] += 1
+            else:  # the run's end next to v: a (-1) core vertex
+                wts[x], rest = -1, ids[1:]
+                if far == v:  # a self-loop: its other end becomes core too
+                    far, rest = rest[-1], rest[:-1]
+                elif far is not None:
+                    del adj[far][ids[-1]]
+                    adj[far][rest[-1] if rest else x] = (x, rest[::-1])
+                adj[x] = {}
+                if rest or far is not None:
+                    adj[x][rest[0] if rest else far] = (far, rest)
+            heappush(heap, x)
+        if len(nb) == 2:
+            a, b = nb
+            adj[a][b], adj[b][a] = (b, ()), (a, ())
+    links = free  # and each link once
+    for u, ends in adj.items():
+        for far, ids in ends.values():
+            if far is None or u < far or (u == far and ids[0] < ids[-1]):
+                links.append((u, far, ids))
+    return DualGraph._from_parts(wts, links, c)
+
+
+def _eat_run(heap, wts, adj, v: int, n: int) -> Sequence[int]:
+    """The vertices of v's run that contract_all blows down in turn right
+    after v, eaten here in closed form; n is the vertex count.
+
+    v must have one neighbor x on a run, and at most one other neighbor o,
+    joined by an edge.  Once v is gone, the next run vertex weighs -1, its
+    neighbors are o and the vertex after it, and o gains 1 with each one
+    blown down.  So the i-th is popped and blown down next as long as it is
+    below every other id in the heap, is not stuck (o is the run's far end
+    and it is the last but one), the graph keeps 3 vertices, and o, when
+    popped before it, is not eligible: o weighs -1 when i = -2 - its weight.
+    It eats at most all but the run's last vertex; v's blow-down then makes
+    the next one core.  Copies of v and o on top of the heap are dropped: v
+    is gone and o is pushed again.
+    """
+    nb = adj[v]
+    x = o = None
+    for y, (_, ids) in nb.items():
+        if not ids:
+            o = y
+        elif x is None:
+            x = y
+        else:  # two runs, or a self-loop
+            return ()
+    if x is None or len(nb[x][1]) < 2:
+        return ()
+    far, ids = nb[x]
+    while heap and heap[0] in (v, o):
+        heappop(heap)
+    k = max(min(len(ids) - 1 - (o is not None and far == o), n - 3), 0)
+    if heap:
+        m = heap[0]
+        if ids[0] > m:
+            k = 0
+        elif type(ids) is not range:  # a range spans no id of the heap
+            k = next((i for i in range(k) if ids[i] > m), k)
+    if o is not None:
+        i = -2 - wts[o]
+        if 0 <= i < k and len(adj[o]) <= 2 and o < ids[i]:
+            k = i
+        wts[o] += k
+    if k:
+        del nb[x]
+        nb[ids[k]] = (far, ids[k:])
+    return ids[:k]
+
+
+def _ends_adjacent(adj: dict[int, dict[int, _End]], nb: dict[int, _End]) -> bool:
+    """Whether the two neighbors in nb, one vertex's entry of adj, are
+    adjacent: a run vertex's other neighbor is the next one along its run."""
+    (x, (fx, ix)), (y, (fy, iy)) = nb.items()
+    if ix:
+        return (ix[1] if len(ix) > 1 else fx) == y
+    if iy:
+        return (iy[1] if len(iy) > 1 else fy) == x
+    return y in adj[x]
 
 
 # -- shape reports -----------------------------------------------------------

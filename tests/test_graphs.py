@@ -614,23 +614,130 @@ def test_edits_of_vertex_level_data_never_compress(monkeypatch):
         blow_up_edge(g, 1, 3)
 
 
-_EDIT_FAMILIES = [
-    FamilyInstance(1, n=4),
-    FamilyInstance(2, A=(3,), n=2),
-    FamilyInstance(3, A=(2,), n=2, l=0),
-    FamilyInstance(3, A=(2,), n=2, l=3),
-    FamilyInstance(4, A=(2,), n=2, l=2, b=(3,)),
-    FamilyInstance(5, A=(2,), n=3, l=1, b=(3,), m=1),
-    FamilyInstance(7, A=(2,), n=2, b=(3,), m=1),
-]
+def test_edits_of_compact_only_graphs_never_expand(monkeypatch):
+    def refused(self):
+        raise AssertionError("an edit expanded a run")
+
+    monkeypatch.setattr(DualGraph, "_expand", refused)
+    spec = FamilyInstance(5, A=(2,), n=3, l=10**6, b=(3,), m=10**6)
+    g = build_family(spec, strict=False)
+    (two,) = [v for v in g.neighbors(g.c) if g.weight(v) == -2]
+    down = blow_down(g, g.c)
+    assert down._weights is None and down.c is None and len(down) == len(g) - 1
+    assert [down.weight(v) for v in g.neighbors(g.c)] == [-(10**6) - 1, -1]
+    again = blow_down(down.with_mark(two), two)
+    assert again._weights is None and len(again) == len(g) - 2
+    with pytest.raises(NotContractibleCurve, match="weight -2, not -1"):
+        blow_down(g, two + 1)
+    with pytest.raises(ValueError, match="no vertex"):
+        blow_down(g, float(g.c))
+    done = contract_all(g)
+    assert done._weights is None and graph_d(done) == graph_d(g)
+    assert contract_all(g.minus_c())._weights is None
+
+
+@st.composite
+def _compact_run_graphs(draw):
+    """Graphs given only as compact parts: core vertices, many of them (-1),
+    on a path and a few more links, each a run of up to 9 whose ids
+    interleave with the core ids, as an ascending or descending range or
+    scattered; self-loop, pendant and parallel runs included."""
+    k = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(0, 99), min_size=k, max_size=k, unique=True))
+    ws = draw(st.lists(st.sampled_from((-1, -1, -1, -2, -3, -4, 0)), min_size=k, max_size=k))
+    core = dict(zip(ids, ws))
+    ends = list(zip(ids, ids[1:]))
+    for _ in range(draw(st.integers(0, 3))):
+        ends.append(tuple(draw(st.sampled_from([None, *ids])) for _ in "ab"))
+    taken, links, edges = set(core), [], set()
+    for a, b in ends:
+        a, b = (b, a) if a is None else (a, b)
+        j = draw(st.integers(0, 9))
+        start = draw(st.integers(0, 99))
+        run = draw(st.sampled_from([
+            range(start, start + j),
+            range(start, start - j, -1),
+            tuple(draw(st.permutations(range(start, start + 2 * j, 2)))),
+        ]))
+        if a is None or taken.intersection(run):
+            continue
+        if j < (2 if a == b else 1 if b is None or (a, b) in edges else 0):
+            continue  # a loop, a repeated edge or an empty pendant run
+        taken.update(run)
+        edges |= {(a, b), (b, a)} if not j else set()
+        links.append((a, b, run))
+    c = draw(st.sampled_from([None, *sorted(taken)]))
+    return DualGraph._from_parts(core, links, c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_compact_run_graphs())
+# a run skip stops where the heap picks 30, or the tuple run passes 34 ...
+@example(DualGraph({28: -1, 30: -1, 52: -2, 53: -2}, [(28, 53), (30, 52), (52, 53)]))
+@example(DualGraph({23: -2, 27: -1, 34: -1, 42: -2, 43: -2},
+                   [(23, 27), (23, 43), (34, 42), (42, 43)], 34))
+# ... where the other neighbor 22 turns (-1), or the run ends at it ...
+@example(DualGraph({22: -3, 30: -2, 38: -1, 46: -2, 47: -2},
+                   [(22, 38), (30, 47), (38, 46), (46, 47)]))
+@example(DualGraph({26: 0, 35: -1, 51: -2, 52: -2}, [(26, 35), (26, 52), (35, 51), (51, 52)]))
+# ... and where 2 vertices are left
+@example(DualGraph({17: -1, 30: -2, 49: -2}, [(17, 49), (30, 49)], 17))
+def test_edits_of_compact_run_graphs_match_the_oracles(g):
+    """blow_down and contract_all on the compact form, with run skips that
+    stop for the heap order, the other neighbor and the far end, give the
+    vertex-level oracles' graphs and errors; the results hold only the
+    compact form, in canonical form."""
+    g = DualGraph._make(*g._compact(), None, None, g.c)  # only the compact form
+    ones = [v for v, w in g._compact()[0].items() if w == -1]
+    edits = [(contract_all, lambda: contract_all_rescan(_twin(g), min))]
+    edits += [
+        (lambda h, v=v: blow_down(h, v), lambda v=v: blow_down_rebuild(_twin(g), v))
+        for v in ones
+    ]
+    for edit, oracle in edits:
+        assert g._weights is None
+        got, want = _outcome(edit, g), _outcome(oracle)
+        if not isinstance(want, DualGraph):
+            assert got == want
+            continue
+        seen = _twin(got)
+        assert got._weights is None
+        assert (list(seen.weights.items()), seen.edges, seen.c) == (
+            list(want.weights.items()), want.edges, want.c
+        )
+        assert DualGraph(seen.weights, seen.edges, seen.c) == got
+
+
+def test_contract_all_at_l_bound_takes_time_independent_of_l():
+    spec = FamilyInstance(3, A=(1000,), n=2, l=l_bound((1000,), 2))
+    g = build_family(spec)
+    assert len(g) == 2_000_001
+    start = time.perf_counter()
+    h = contract_all(g)
+    assert time.perf_counter() - start < 0.5
+    assert list(h.weights.values()) == [0, -2]
+
+
+_FAMILY_FIELDS = {
+    "A": st.sampled_from([(2,), (3,), (2, 2), (3, 2), (2, 4)]),
+    "n": st.integers(2, 4),
+    "l": st.integers(0, 60),
+    "b": st.sampled_from([(3,), (4, 2), (3, 3)]),
+    "m": st.integers(0, 60),
+}
+_FAMILY_KEYS = {1: "n", 2: "An", 3: "Anl", 4: "Anlb", 5: "Anlbm", 6: "Anb", 7: "Anbm"}
 
 
 @st.composite
 def _edit_inputs(draw):
     """A vertex-level graph with scattered ids and many (-1)-vertices, often
-    on a triangle, or a family boundary that holds only the compact form."""
+    on a triangle; or a graph that holds only the compact form: a family
+    boundary, with runs of up to 60 in both id directions, or a cut of a
+    vertex-level graph, whose runs may be tuples, cycles or self-loops."""
     if draw(st.booleans()):
-        return build_family(draw(st.sampled_from(_EDIT_FAMILIES)))
+        family = draw(st.integers(1, 7))
+        fields = {key: draw(_FAMILY_FIELDS[key]) for key in _FAMILY_KEYS[family]}
+        return build_family(FamilyInstance(family, **fields), strict=False)
     k = draw(st.integers(0, 8))
     ids = draw(st.lists(st.integers(-10, 12), min_size=k, max_size=k, unique=True))
     ws = draw(st.lists(st.sampled_from((-1, -1, -2, -3, 0)), min_size=k, max_size=k))
@@ -638,7 +745,29 @@ def _edit_inputs(draw):
     edges = set(draw(st.lists(st.sampled_from(pairs), max_size=12) if pairs else st.just([])))
     if k >= 3 and draw(st.booleans()):
         edges |= {pairs[0], pairs[1], pairs[k - 1]}  # a triangle on ids[:3]
-    return DualGraph(dict(zip(ids, ws)), edges, draw(st.sampled_from([None] + ids)))
+    g = DualGraph(dict(zip(ids, ws)), edges, draw(st.sampled_from([None] + ids)))
+    cut = draw(st.sampled_from(["none", "minus_c", "delete"]))
+    if cut == "minus_c" and g.c is not None:
+        return g.minus_c()
+    if cut == "delete" and ids:
+        return g.delete(draw(st.sampled_from(ids)))
+    return g
+
+
+def _twin(g):
+    """A graph holding g's data, so that reading the twin's vertex-level data
+    leaves g holding what it held (a graph that holds only the compact form
+    is edited on it)."""
+    return DualGraph._make(g._core, g._links, g._weights, g._edges, g.c)
+
+
+def _held(g):
+    """Copies of the data g holds."""
+    return {
+        key: list(x.items()) if isinstance(x, dict) else x
+        for key in ("_core", "_links", "_weights", "_edges")
+        if (x := getattr(g, key)) is not None
+    }
 
 
 def _outcome(edit, *args):
@@ -650,20 +779,22 @@ def _outcome(edit, *args):
 
 
 def _draw_edit(data, g):
-    """One edit of g, as the library call and the oracle call."""
-    ids = sorted(g.weights)
-    ones = [v for v in ids if g.weight(v) == -1]
+    """One edit of g, as the library call and the oracle call; the draw and
+    the oracle read a twin of g."""
+    t = _twin(g)
+    ids = sorted(t.weights)
+    ones = [v for v in ids if t.weight(v) == -1]
     x = data.draw(st.sampled_from(ones + ids + [max(ids, default=0) + 7]))
     new_id = data.draw(st.sampled_from([None, None, x, -50]))  # x may be in use
-    pairs = list(g.edges) + list(itertools.combinations(ids[:4], 2))
+    pairs = list(t.edges) + list(itertools.combinations(ids[:4], 2))
     u, v = data.draw(st.sampled_from(pairs)) if pairs else (0, 1)
     return data.draw(st.sampled_from([
-        (lambda: blow_up_edge(g, v, u, new_id), lambda: blow_up_rebuild(g, (v, u), new_id)),
-        (lambda: blow_up_at(g, x, new_id), lambda: blow_up_rebuild(g, (x,), new_id)),
-        (lambda: blow_up_free(g, new_id), lambda: blow_up_rebuild(g, (), new_id)),
-        (lambda: blow_down(g, x), lambda: blow_down_rebuild(g, x)),
-        (lambda: blow_down(g, x), lambda: blow_down_rebuild(g, x)),
-        (lambda: contract_all(g), lambda: contract_all_rescan(g, min)),
+        (lambda: blow_up_edge(g, v, u, new_id), lambda: blow_up_rebuild(t, (v, u), new_id)),
+        (lambda: blow_up_at(g, x, new_id), lambda: blow_up_rebuild(t, (x,), new_id)),
+        (lambda: blow_up_free(g, new_id), lambda: blow_up_rebuild(t, (), new_id)),
+        (lambda: blow_down(g, x), lambda: blow_down_rebuild(t, x)),
+        (lambda: blow_down(g, x), lambda: blow_down_rebuild(t, x)),
+        (lambda: contract_all(g), lambda: contract_all_rescan(t, min)),
     ]))
 
 
@@ -673,23 +804,25 @@ def test_edits_splice_like_the_rebuild_oracle(g, data):
     """Chains of edits give the oracle's graphs, weights in the same order,
     keep the edge invariant, leave the parent as it was, and refuse what the
     oracle refuses, with its error type and message; a refused edit leaves
-    the chain where it was."""
+    the chain where it was.  The chain's graphs are read through twins, so a
+    graph that holds only the compact form is edited on it."""
     for _ in range(data.draw(st.integers(1, 10))):
         edit, oracle = _draw_edit(data, g)
         want = _outcome(oracle)
-        weights, edges = list(g._weights.items()), g._edges  # _draw_edit expanded g
+        held = _held(g)
         got = _outcome(edit)
-        assert list(g._weights.items()) == weights and g._edges == edges
+        assert {key: _held(g)[key] for key in held} == held
         if not isinstance(want, DualGraph):
             assert got == want
             continue
-        assert (list(got.weights.items()), got.edges, got.c) == (
+        seen = _twin(got)
+        assert (list(seen.weights.items()), seen.edges, seen.c) == (
             list(want.weights.items()), want.edges, want.c
         )
-        assert type(got._edges) is tuple
-        assert all(u < v for u, v in got._edges)
-        assert list(got._edges) == sorted(set(got._edges))
-        assert DualGraph(got.weights, got.edges, got.c) == got
+        assert type(seen._edges) is tuple
+        assert all(u < v for u, v in seen._edges)
+        assert list(seen._edges) == sorted(set(seen._edges))
+        assert DualGraph(seen.weights, seen.edges, seen.c) == got
         g = got
 
 
@@ -1239,13 +1372,25 @@ def test_queries_read_only_the_compact_form():
             None if v == 30 else 30,
         )
         assert g.delete(v) == cut
-    assert 99 not in g and not g.has_edge(1, 99) and not g.has_edge(99, 1)
-    with pytest.raises(KeyError):
-        g.weight(99)
-    with pytest.raises(KeyError):
-        g.neighbors(99)
-    with pytest.raises(ValueError, match="no vertex 99"):
-        g.delete(99)
+    compact = DualGraph._make(*g._compact(), None, None, 30)
+    # only an int names a vertex: not a float or a bool equal to one
+    for v in (99, 30.0, 2.0, 10.0, 7.5, True, 1.0):
+        assert v not in g and not g.has_edge(1, v) and not g.has_edge(v, 1)
+        with pytest.raises(KeyError):
+            g.weight(v)
+        with pytest.raises(KeyError):
+            g.neighbors(v)
+        with pytest.raises(ValueError, match=f"no vertex {v}"):
+            g.delete(v)
+        with pytest.raises(ValueError, match=f"no vertex {v}"):
+            blow_down(compact, v)
+        if type(v) is not int:  # refused before any vertex-level data is read
+            with pytest.raises(ValueError, match=f"no vertex {v}"):
+                blow_down(g, v)
+    big = build_family(FamilyInstance(3, A=(1000,), n=2, l=10**8), strict=False)
+    start = time.perf_counter()
+    assert 5000.5 not in big
+    assert time.perf_counter() - start < 1
 
 
 @settings(max_examples=200, deadline=None)
