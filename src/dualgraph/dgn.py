@@ -9,7 +9,11 @@ Line oriented; `#` starts a comment anywhere on a line.  Directives:
 
 serialize_dgn writes a canonical form (sorted `v` lines, then sorted `e`
 lines) that parse_dgn maps back to an equal graph; serializing a parsed
-canonical document reproduces it byte for byte.
+canonical document reproduces it byte for byte.  parse_dgn gives the graph
+vertex-level data only; serialize_dgn reads the compact form when the graph
+holds it (a family build, a cut, an edit of one, or a parsed graph that a
+query has compressed), walking its runs in id order, so the text of a run
+costs one join over its ids and nothing is sorted per vertex.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from bisect import bisect_left
 from typing import Iterable
 
 from .errors import ParseError
-from .graphs import DualGraph
+from .graphs import DualGraph, _id_order
 
 
 def _not_int(line_no: int, named: Iterable[tuple[str, str]]) -> ParseError:
@@ -120,12 +124,36 @@ def parse_dgn(text: str) -> DualGraph:
 
 
 def serialize_dgn(g: DualGraph) -> str:
-    """One pass over the expanded weights (sorted by id) and edges (always
-    kept sorted)."""
-    weights, edges = g._expand()
-    items = sorted(weights.items())
-    lines = [f"v {v} {w}" for v, w in items]
-    if g.c is not None:
-        lines[bisect_left(items, (g.c,))] += " C"
-    lines += [f"e {u} {v}" for u, v in edges]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """The canonical text of g: its v lines, then its e lines, both sorted.
+
+    A graph that holds the compact form is written from its walk in id order
+    (graphs._id_order), so the lines of a range run are one join over its
+    ids and nothing is sorted per vertex; a graph that holds only
+    vertex-level data is written from it, sorting its weights by id (edges
+    are kept sorted).  Both give the same bytes.
+    """
+    c = g.c
+    if g._core is None:
+        weights, edges = g._expand()
+        items = sorted(weights.items())
+        blocks = [f"v {v} {w}" for v, w in items]
+        if c is not None:
+            blocks[bisect_left(items, (c,))] += " C"
+        blocks += [f"e {u} {v}" for u, v in edges]
+    else:
+        core = g._core
+        vertices, edges = _id_order(core, g._links)
+        blocks = []
+        for v, ids in vertices:
+            if ids is None:
+                blocks.append(f"v {v} {core.get(v, -2)}" + (" C" if v == c else ""))
+            elif c is not None and c in ids:
+                blocks += [f"v {i} -2" + (" C" if i == c else "") for i in ids]
+            else:
+                blocks.append("\n".join([f"v {i} -2" for i in ids]))
+        for u, v, ids in edges:
+            if ids is None:
+                blocks.append(f"e {u} {v}")
+            else:
+                blocks.append("\n".join([f"e {x} {y}" for x, y in zip(ids, ids[1:])]))
+    return "\n".join(blocks) + ("\n" if blocks else "")

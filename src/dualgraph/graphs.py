@@ -24,16 +24,24 @@ expands no run; a run vertex is found by one scan of the links (_run_of), and
 only an int names a vertex.
 
 Vertex-level weights and edges (_edges: a sorted tuple of distinct (u, v),
-u < v) are expanded lazily, once, and read only by DGN, the views (weights,
-edges, vertex_ids, repr) and the edits.  A graph that holds only the compact
-form (a family build, a cut, or blow_down or contract_all of such a graph,
-until a view expands it) is blown down and contracted on it: blow_down
-re-joins it around the vertex as delete() does, and contract_all eats a run
-in closed form, so both take time independent of the run lengths and return a
-graph that holds only the compact form, whose weights expand in id order as
-the parent's do.  A graph built from vertex-level data keeps the order its
-weights were given in, which the compact form does not record, so its edits
-splice that data, as the blow-ups do on every graph (a blow-up's new vertex
+u < v) are expanded lazily, once, and read only by the views (weights,
+edges, vertex_ids, repr) and the splices below.  The expansion reads one
+walk of the compact form in id order (_id_order), which sorts blocks (a core
+vertex, a vertex of a tuple run, a range run), never the vertices of a run;
+DGN output reads the same walk and expands nothing (dgn.serialize_dgn).
+
+Which way an edit goes is decided by how the graph was made (_given), not by
+what it has expanded.  A graph not given vertex-level data (a family build,
+a cut, blow_down or contract_all of such a graph, and their with_mark
+copies) is blown down and contracted on its compact form, even once a view
+has expanded it, since that expansion is in id order: blow_down re-joins it
+around the vertex as delete() does, and contract_all eats a run in closed
+form, so both take time independent of the run lengths and return a graph
+that holds only the compact form, whose weights expand in id order as the
+parent's do.  A graph given vertex-level data (by DualGraph(), parse_dgn or
+a splice) keeps the order its weights were given in, which the compact form
+does not record, so its edits splice that data, even once a query has
+compressed it, as the blow-ups do on every graph (a blow-up's new vertex
 comes last in its weights).  A splice copies the parent's checked data,
 deleting or insorting only the touched entries, and never compresses; no
 edit validates its result again (_make), and the parent's data, which
@@ -99,8 +107,8 @@ class DualGraph:
     """Immutable weighted graph with an optional C-marked vertex."""
 
     __slots__ = (
-        "_core", "_links", "_weights", "_edges", "_c", "_inc", "_pass", "_dfs",
-        "_minus_c",
+        "_core", "_links", "_weights", "_edges", "_given", "_c", "_inc", "_pass",
+        "_dfs", "_minus_c",
     )
 
     def __init__(
@@ -139,6 +147,9 @@ class DualGraph:
         self._links: tuple[_Link, ...] | None = links
         self._weights: dict[int, int] | None = weights
         self._edges: tuple[tuple[int, int], ...] | None = edges
+        # vertex-level data given at construction, not expanded from the
+        # compact form: the edits splice it (see blow_down)
+        self._given = weights is not None
         self._c = c
         self._inc: dict[int, list[_End]] | None = None
         self._pass: _TreePass | _CorePass | None = None
@@ -179,31 +190,26 @@ class DualGraph:
         return self._core, self._links
 
     def _expand(self) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
-        """Vertex-level weights and sorted edges, once.  Weights expanded
-        from the compact form are in id order; a graph built from
-        vertex-level data keeps the order it was given."""
+        """Vertex-level weights and sorted edges, once.  Expanded from the
+        compact form, they are read off its walk in id order (_id_order),
+        weights in id order; a graph given vertex-level data keeps the order
+        it was given."""
         if self._weights is None:
-            weights = dict(self._core)
-            pairs: list[tuple[int, int]] = []
-            for a, b, ids in self._links:
-                if not ids:
-                    if a is not None and b is not None:
-                        pairs.append((a, b) if a < b else (b, a))
-                    continue
-                weights.update(dict.fromkeys(ids, -2))
-                for end, x in ((a, ids[0]), (b, ids[-1])):
-                    if end is not None:
-                        pairs.append((end, x) if end < x else (x, end))
-                if type(ids) is range:
-                    # consecutive ids: the pairs come out ordered already
-                    up = ids if ids.step > 0 else ids[::-1]
-                    pairs += zip(up, up[1:])
+            core = self._core
+            vertices, edges = _id_order(core, self._links)
+            weights: dict[int, int] = {}
+            for v, ids in vertices:
+                if ids is None:
+                    weights[v] = core.get(v, -2)
                 else:
-                    pairs += (
-                        (u, v) if u < v else (v, u) for u, v in zip(ids, ids[1:])
-                    )
-            self._weights = dict(sorted(weights.items()))
-            self._edges = tuple(sorted(pairs))
+                    weights.update(dict.fromkeys(ids, -2))
+            pairs: list[tuple[int, int]] = []
+            for u, v, ids in edges:
+                if ids is None:
+                    pairs.append((u, v))
+                else:
+                    pairs += zip(ids, ids[1:])
+            self._weights, self._edges = weights, tuple(pairs)
         return self._weights, self._edges
 
     # -- basic accessors -------------------------------------------------
@@ -374,6 +380,7 @@ class DualGraph:
         if v is not None and (type(v) is not int or v not in self):
             raise ValueError(f"marked vertex {v} does not exist")
         g = DualGraph._make(self._core, self._links, self._weights, self._edges, v)
+        g._given = self._given
         g._inc, g._pass, g._dfs = self._inc, self._pass, self._dfs
         return g
 
@@ -541,6 +548,47 @@ def _walk_runs(
             core[ring[0]] = -2
             out.append((ring[0], ring[0], _join([ring[1:]])))
     return out
+
+
+def _id_order(
+    core: Mapping[int, int], links: Iterable[_Link]
+) -> tuple[list[tuple[int, range | None]], list[tuple[int, int, range | None]]]:
+    """The vertices and edges of a compact form in id order, as blocks, so
+    that only blocks are sorted, never the vertices of a run.
+
+    A vertex block (v, None) is a core vertex or a vertex of a tuple run;
+    (v, ids) is a range run, ids ascending from v.  An edge block (u, v,
+    None) is one edge, u < v; (u, u + 1, ids) is the edges (i, i + 1) of a
+    range run from its second id on, i and i + 1 in ids.  A range is an
+    interval of distinct ids, so no other vertex lies inside its span, and
+    every other edge has its smaller end at or below the run's first id or
+    at or above its last: the blocks sort as their first entries do.
+    """
+    vertices: list[tuple[int, range | None]] = [(v, None) for v in core]
+    edges: list[tuple[int, int, range | None]] = []
+    for a, b, ids in links:
+        if not ids:
+            if a is not None and b is not None:
+                edges.append((a, b, None) if a < b else (b, a, None))
+            continue
+        for end, x in ((a, ids[0]), (b, ids[-1])):
+            if end is not None:
+                edges.append((end, x, None) if end < x else (x, end, None))
+        if type(ids) is range:
+            up = ids if ids.step > 0 else ids[::-1]
+            vertices.append((up[0], up))
+            if len(up) > 1:
+                edges.append((up[0], up[1], None))
+            if len(up) > 2:
+                edges.append((up[1], up[2], up[1:]))
+        else:
+            vertices += [(v, None) for v in ids]
+            edges += [
+                (u, v, None) if u < v else (v, u, None) for u, v in zip(ids, ids[1:])
+            ]
+    vertices.sort()
+    edges.sort()
+    return vertices, edges
 
 
 def chain_graph(
@@ -874,12 +922,12 @@ def blow_down(g: DualGraph, v: int) -> DualGraph:
     be adjacent (WouldCreateCycle).  Each neighbor's weight increases by 1;
     with two neighbors the traversing edge is fused.  Remaining ids are kept;
     a mark on v disappears with it.  The result is built from g's checked
-    data and not validated again.  A graph that holds only the compact form
-    is cut and re-joined around v (_blow_down_compact), in time independent
-    of the run lengths; one with vertex-level data is spliced from it (bisect
-    on the sorted edges) in O(n), so its weights keep their order.
+    data and not validated again.  A graph not given vertex-level data is
+    cut and re-joined around v on its compact form (_blow_down_compact), in
+    time independent of the run lengths; one given it is spliced from it
+    (bisect on the sorted edges) in O(n), so its weights keep their order.
     """
-    compact = g._weights is None
+    compact = not g._given
     if compact:
         if v not in g:
             raise ValueError(f"no vertex {v}")
@@ -1012,12 +1060,13 @@ def contract_all(g: DualGraph) -> DualGraph:
     aside.  Only the neighbors of a blown-down vertex change weight, degree
     or neighbors, and an edge goes only where it met the blown-down vertex,
     so those neighbors are the only vertices that can turn eligible (or stop
-    being stuck) and the only ones pushed again.  On vertex-level data this
-    costs O(n log n).  A graph that holds only the compact form is contracted
-    on it (_contract_compact), in time independent of the run lengths.  The
-    result, built from g's checked data, is not validated again.
+    being stuck) and the only ones pushed again.  On a graph given
+    vertex-level data this costs O(n log n).  Any other graph is contracted
+    on its compact form (_contract_compact), in time independent of the run
+    lengths.  The result, built from g's checked data, is not validated
+    again.
     """
-    if g._weights is None:
+    if not g._given:
         return _contract_compact(g)
     weights = g.weights
     adj: dict[int, set[int]] = {v: set() for v in weights}

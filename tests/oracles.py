@@ -7,8 +7,9 @@ and the Fraction adjunction solve
 (solve_forest_fraction and its readers), which read DualGraphs and, on a
 forest, the library's integer tree pass, and fujita_suite_eager, which runs
 the library's twig functions.  The Fraction twig calculus (inductance_fraction,
-twig_from_inductance_stepwise, adjoint_fraction) is self-contained.  These
-are the reference implementations the fast code must agree with.
+twig_from_inductance_stepwise, adjoint_fraction) and expand_compact, which
+reads compact parts as plain tuples, are self-contained.  These are the
+reference implementations the fast code must agree with.
 """
 
 from __future__ import annotations
@@ -170,6 +171,19 @@ def graph_neg_matrix(g):
         rows[index[u]][index[v]] = -1
         rows[index[v]][index[u]] = -1
     return rows
+
+
+def expand_compact(core, links):
+    """The vertex-level weights, in id order, and sorted edges of compact
+    parts, by walking every link as the path a, ids..., b and sorting every
+    vertex and edge: the reference for the library's walk in id order."""
+    weights = dict(core)
+    edges = set()
+    for a, b, ids in links:
+        weights.update(dict.fromkeys(ids, -2))
+        path = [x for x in (a, *ids, b) if x is not None]
+        edges.update((min(p), max(p)) for p in zip(path, path[1:]))
+    return dict(sorted(weights.items())), tuple(sorted(edges))
 
 
 def contract_all_rescan(g, pick):

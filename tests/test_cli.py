@@ -11,9 +11,10 @@ import pytest
 
 import dualgraph.cli as cli
 from dualgraph import canonical
-from dualgraph.dgn import serialize_dgn
+from dualgraph.dgn import parse_dgn, serialize_dgn
 from dualgraph.errors import InternalDefect
 from dualgraph.families import FamilyInstance, build_family
+from dualgraph.graphs import DualGraph
 
 
 def run_cli(capsys, *argv):
@@ -261,6 +262,19 @@ def test_family_build_bound_enforcement(capsys):
     assert "l out of range" in err
     got = doc_of(capsys, "family", "build", spec, "--allow-noncontractible")
     assert got["graph"].count("\nv") + 1 == 10  # vertices survive past the bound
+
+
+def test_family_build_writes_the_compact_form_without_expanding_it(capsys, monkeypatch):
+    def refused(self):
+        raise AssertionError("a run was expanded")
+
+    monkeypatch.setattr(DualGraph, "_expand", refused)
+    fields = {"family": 5, "A": [101], "n": 2, "l": 10**4, "b": [3], "m": 10**4}
+    g = build_family(FamilyInstance(**fields))
+    text = serialize_dgn(g)
+    assert doc_of(capsys, "family", "build", json.dumps(fields)) == {"graph": text}
+    assert text.count("\n") == 2 * len(g) - 1  # a tree: its v and e lines
+    assert parse_dgn(text) == g
 
 
 def test_family_build_reads_stdin(capsys, monkeypatch):

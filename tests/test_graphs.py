@@ -49,6 +49,7 @@ from oracles import (
     contract_all_rescan,
     dense_adjunction_solve,
     dense_det,
+    expand_compact,
     graph_neg_matrix,
     principal_minor_negdef,
     shape_report_dfs,
@@ -634,6 +635,32 @@ def test_edits_of_compact_only_graphs_never_expand(monkeypatch):
     done = contract_all(g)
     assert done._weights is None and graph_d(done) == graph_d(g)
     assert contract_all(g.minus_c())._weights is None
+
+
+def test_edits_follow_how_a_graph_was_made_not_its_views(monkeypatch):
+    """A family graph whose views were read is still edited on its compact
+    form, as a with_mark copy of it is; a graph given vertex by vertex is
+    spliced even once a query has compressed it, keeping its weights' order."""
+    spec = FamilyInstance(3, A=(1000,), n=2, l=10**5)
+    g = build_family(spec)
+    assert len(g.edges) == len(g) - 1 and g._weights is not None
+    fresh = build_family(spec)
+    want_down, want_done = blow_down(fresh, g.c), contract_all(fresh)
+
+    def refused(self):
+        raise AssertionError("an edit spliced vertex-level data")
+
+    monkeypatch.setattr(DualGraph, "_expand", refused)
+    for h in (g, g.with_mark(g.c)):
+        down, done = blow_down(h, h.c), contract_all(h)
+        assert down._weights is None and down == want_down
+        assert done._weights is None and done == want_done
+    monkeypatch.undo()
+    given = DualGraph({2: -2, 1: -2, 3: -1}, [(1, 2), (2, 3)], c=1)
+    assert len(given) == 3 and given._core is not None  # compressed by a query
+    for h in (given, given.with_mark(None)):
+        assert list(blow_down(h, 3).weights) == [2, 1]
+        assert list(contract_all(h).weights) == [2, 1]
 
 
 @st.composite
@@ -1334,6 +1361,59 @@ def test_compact_form_round_trips_and_deletes_like_vertex_data(h):
         assert cut.c == plain.c
         assert cut._compact() == plain._compact()
         assert cut.weights == plain.weights and cut.edges == plain.edges
+
+
+@st.composite
+def _walk_graphs(draw):
+    """Compact parts with ids from -60 to 60: core vertices, then links of
+    up to 12 each, as ranges running both ways or scattered tuples, with two
+    core ends (a self-loop included), one (pendant) or none (a free path, or
+    an isolated (-2)-vertex when it has one id); C anywhere, on runs too."""
+    ids = draw(st.lists(st.integers(-60, 60), max_size=6, unique=True))
+    core = {v: draw(st.sampled_from((-1, -2, -3, 0, 1))) for v in ids}
+    taken, links, direct = set(core), [], set()
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = (draw(st.sampled_from([None, *ids])) for _ in "ab")
+        a, b = (b, a) if a is None else (a, b)
+        j, start = draw(st.integers(0, 12)), draw(st.integers(-80, 80))
+        run = draw(st.sampled_from([
+            range(start, start + j),
+            range(start, start - j, -1),
+            tuple(draw(st.permutations(range(start, start + 3 * j, 3)))),
+        ]))
+        edge = frozenset((a, b))
+        if taken.intersection(run) or (not j and (b is None or edge in direct)):
+            continue  # a shared id, an empty run to a free end, a repeated edge
+        if a is not None and a == b and j < 2:
+            continue  # a loop or a repeated edge
+        taken.update(run)
+        if not j:
+            direct.add(edge)
+        links.append((a, b, run))
+    c = draw(st.sampled_from([None, *sorted(taken)]))
+    return DualGraph._from_parts(core, links, c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_walk_graphs())
+@example(DualGraph({}, []))
+@example(DualGraph({5: -2}, [], 5))
+# a range run whose first and last ids each meet a larger core end, C inside
+@example(DualGraph({3: -2, 4: -2, 5: -2, 6: -2, 8: -3, 9: -3},
+                   [(3, 8), (3, 4), (4, 5), (5, 6), (6, 9)], 5))
+def test_the_walk_in_id_order_writes_and_expands_like_vertex_data(g):
+    """serialize_dgn of a graph that holds only the compact form gives the
+    bytes of its vertex-level twin, and reads no vertex-level data; _expand
+    gives the oracle's weights, in id order, and its sorted edges."""
+    core, links = g._compact()
+    weights, edges = expand_compact(core, links)
+    twin = DualGraph(weights, edges, g.c)
+    compact = DualGraph._make(core, links, None, None, g.c)
+    assert serialize_dgn(compact) == serialize_dgn(twin)
+    assert twin._core is None and compact._weights is None
+    got_weights, got_edges = compact._expand()
+    assert list(got_weights.items()) == list(weights.items())
+    assert got_edges == edges and type(got_edges) is tuple
 
 
 class _Unreadable:
