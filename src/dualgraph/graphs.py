@@ -24,28 +24,29 @@ expands no run; a run vertex is found by one scan of the links (_run_of), and
 only an int names a vertex.
 
 Vertex-level weights and edges (_edges: a sorted tuple of distinct (u, v),
-u < v) are expanded lazily, once, and read only by the views (weights,
-edges, vertex_ids, repr) and the splices below.  The expansion reads one
-walk of the compact form in id order (_id_order), which sorts blocks (a core
-vertex, a vertex of a tuple run, a range run), never the vertices of a run;
-DGN output reads the same walk and expands nothing (dgn.serialize_dgn).
+u < v) are held only by a graph given them: by DualGraph(), parse_dgn, a
+splice below, or with_mark of one of these.  A graph that holds only the
+compact form expands it on each read of a view (weights, edges, vertex_ids,
+repr) and once per blow-up, and stores nothing (_expand).  The expansion
+reads one walk of the compact form in id order (_id_order), which sorts
+blocks (a core vertex, a vertex of a tuple run, a range run), never the
+vertices of a run; DGN output reads the same walk and expands nothing
+(dgn.serialize_dgn).
 
-Which way an edit goes is decided by how the graph was made (_given), not by
-what it has expanded.  A graph not given vertex-level data (a family build,
-a cut, blow_down or contract_all of such a graph, and their with_mark
-copies) is blown down and contracted on its compact form, even once a view
-has expanded it, since that expansion is in id order: blow_down re-joins it
-around the vertex as delete() does, and contract_all eats a run in closed
-form, so both take time independent of the run lengths and return a graph
-that holds only the compact form, whose weights expand in id order as the
-parent's do.  A graph given vertex-level data (by DualGraph(), parse_dgn or
-a splice) keeps the order its weights were given in, which the compact form
-does not record, so its edits splice that data, even once a query has
-compressed it, as the blow-ups do on every graph (a blow-up's new vertex
-comes last in its weights).  A splice copies the parent's checked data,
-deleting or insorting only the touched entries, and never compresses; no
-edit validates its result again (_make), and the parent's data, which
-with_mark copies share, never changes.
+Which way an edit goes follows what the graph holds.  A graph that holds
+only the compact form (a family build, a cut, blow_down or contract_all of
+such a graph, and their with_mark copies) is blown down and contracted on
+it: blow_down re-joins it around the vertex as delete() does, and
+contract_all eats a run in closed form, so both take time independent of the
+run lengths and return a graph that holds only the compact form, whose
+weights expand in id order as the parent's do.  A graph given vertex-level
+data keeps the order its weights were given in, which the compact form does
+not record, so its edits splice that data, even once a query has compressed
+it, as the blow-ups do on every graph (a blow-up's new vertex comes last in
+its weights).  A splice copies the parent's checked data, deleting or
+insorting only the touched entries, and never compresses; no edit validates
+its result again (_make), and the parent's data, which with_mark copies
+share, never changes.
 
 One DFS over the core, once per graph, finds the components (_core_dfs),
 each as its core vertices, its runs and its count of core-to-core links;
@@ -107,8 +108,8 @@ class DualGraph:
     """Immutable weighted graph with an optional C-marked vertex."""
 
     __slots__ = (
-        "_core", "_links", "_weights", "_edges", "_given", "_c", "_inc", "_pass",
-        "_dfs", "_minus_c",
+        "_core", "_links", "_weights", "_edges", "_c", "_inc", "_pass", "_dfs",
+        "_minus_c",
     )
 
     def __init__(
@@ -147,9 +148,6 @@ class DualGraph:
         self._links: tuple[_Link, ...] | None = links
         self._weights: dict[int, int] | None = weights
         self._edges: tuple[tuple[int, int], ...] | None = edges
-        # vertex-level data given at construction, not expanded from the
-        # compact form: the edits splice it (see blow_down)
-        self._given = weights is not None
         self._c = c
         self._inc: dict[int, list[_End]] | None = None
         self._pass: _TreePass | _CorePass | None = None
@@ -190,27 +188,27 @@ class DualGraph:
         return self._core, self._links
 
     def _expand(self) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
-        """Vertex-level weights and sorted edges, once.  Expanded from the
-        compact form, they are read off its walk in id order (_id_order),
-        weights in id order; a graph given vertex-level data keeps the order
-        it was given."""
-        if self._weights is None:
-            core = self._core
-            vertices, edges = _id_order(core, self._links)
-            weights: dict[int, int] = {}
-            for v, ids in vertices:
-                if ids is None:
-                    weights[v] = core.get(v, -2)
-                else:
-                    weights.update(dict.fromkeys(ids, -2))
-            pairs: list[tuple[int, int]] = []
-            for u, v, ids in edges:
-                if ids is None:
-                    pairs.append((u, v))
-                else:
-                    pairs += zip(ids, ids[1:])
-            self._weights, self._edges = weights, tuple(pairs)
-        return self._weights, self._edges
+        """Vertex-level weights and sorted edges: those the graph was given,
+        weights in the order given, else read off the compact form's walk in
+        id order (_id_order), weights in id order.  An expansion is made on
+        every call and not stored, so callers must not change the result."""
+        if self._weights is not None:
+            return self._weights, self._edges
+        core = self._core
+        vertices, edges = _id_order(core, self._links)
+        weights: dict[int, int] = {}
+        for v, ids in vertices:
+            if ids is None:
+                weights[v] = core.get(v, -2)
+            else:
+                weights.update(dict.fromkeys(ids, -2))
+        pairs: list[tuple[int, int]] = []
+        for u, v, ids in edges:
+            if ids is None:
+                pairs.append((u, v))
+            else:
+                pairs += zip(ids, ids[1:])
+        return weights, tuple(pairs)
 
     # -- basic accessors -------------------------------------------------
 
@@ -328,9 +326,8 @@ class DualGraph:
         that do, at most deg(v) of them or two when v splits a run, are
         oriented as _normalize orients links and inserted in order.
         _normalize runs only when a (-2) core end might now be absorbed: when
-        it lost a direct edge to v, or ends the run that v split.  The
-        vertex-level data is expanded from the cut form if and when it is
-        asked for.
+        it lost a direct edge to v, or ends the run that v split.  The cut
+        holds only the compact form, which its views expand on each read.
         """
         c = None if self._c == v else self._c
         core, old = self._compact()
@@ -380,7 +377,6 @@ class DualGraph:
         if v is not None and (type(v) is not int or v not in self):
             raise ValueError(f"marked vertex {v} does not exist")
         g = DualGraph._make(self._core, self._links, self._weights, self._edges, v)
-        g._given = self._given
         g._inc, g._pass, g._dfs = self._inc, self._pass, self._dfs
         return g
 
@@ -922,12 +918,13 @@ def blow_down(g: DualGraph, v: int) -> DualGraph:
     be adjacent (WouldCreateCycle).  Each neighbor's weight increases by 1;
     with two neighbors the traversing edge is fused.  Remaining ids are kept;
     a mark on v disappears with it.  The result is built from g's checked
-    data and not validated again.  A graph not given vertex-level data is
-    cut and re-joined around v on its compact form (_blow_down_compact), in
-    time independent of the run lengths; one given it is spliced from it
-    (bisect on the sorted edges) in O(n), so its weights keep their order.
+    data and not validated again.  A graph that holds only the compact form
+    is cut and re-joined around v on it (_blow_down_compact), in time
+    independent of the run lengths; one given vertex-level data is spliced
+    from it (bisect on the sorted edges) in O(n), so its weights keep their
+    order.
     """
-    compact = not g._given
+    compact = g._weights is None
     if compact:
         if v not in g:
             raise ValueError(f"no vertex {v}")
@@ -999,23 +996,25 @@ def _blow_down_compact(g: DualGraph, v: int, nbrs: list[int], c) -> DualGraph:
     return DualGraph._make(core, tuple(links), None, None, c)
 
 
-def _fresh_id(g: DualGraph, new_id: int | None) -> int:
-    """new_id, or one past the largest id, checked to be an unused int."""
-    weights = g._expand()[0]
+def _blow_up(g: DualGraph, ends: tuple, new_id: int | None) -> DualGraph:
+    """A fresh (-1)-vertex new_id, or one past the largest id, joined to
+    ends, each of which weighs 1 less: ends (u, v) is an edge of g, which the
+    new vertex replaces, (u,) a vertex of g and () nothing.  g is expanded
+    once and every check reads that expansion; the result is spliced from it
+    like blow_down's, and not validated again."""
+    weights, edges = g._expand()
+    if len(ends) == 2:
+        u, v = ends
+        ends = (u, v) if u < v else (v, u)
+        if type(u) is not int or type(v) is not int or ends not in edges:
+            raise ValueError(f"no edge ({u},{v})")
+    elif ends and (type(ends[0]) is not int or ends[0] not in weights):
+        raise ValueError(f"no vertex {ends[0]}")
     w = new_id if new_id is not None else max(weights, default=0) + 1
     if w in weights:
         raise ValueError(f"vertex id {w} already in use")
     if type(w) is not int:
         raise ValueError("vertex ids and weights must be integers")
-    return w
-
-
-def _blow_up(g: DualGraph, ends: tuple[int, ...], new_id: int | None) -> DualGraph:
-    """A fresh (-1)-vertex joined to ends, each of which weighs 1 less; two
-    ends are an edge of g, which the new vertex replaces.  Spliced from g's
-    checked vertex-level data like blow_down, and not validated again."""
-    w = _fresh_id(g, new_id)
-    weights, edges = g._expand()
     new = list(edges)
     if len(ends) == 2:
         new.remove(ends)
@@ -1027,16 +1026,11 @@ def _blow_up(g: DualGraph, ends: tuple[int, ...], new_id: int | None) -> DualGra
 
 def blow_up_edge(g: DualGraph, u: int, v: int, new_id: int | None = None) -> DualGraph:
     """Insert a fresh (-1)-vertex on the edge (u, v), decrementing u and v."""
-    key = (u, v) if u < v else (v, u)
-    if type(u) is not int or type(v) is not int or key not in g.edges:
-        raise ValueError(f"no edge ({u},{v})")
-    return _blow_up(g, key, new_id)
+    return _blow_up(g, (u, v), new_id)
 
 
 def blow_up_at(g: DualGraph, u: int, new_id: int | None = None) -> DualGraph:
     """Attach a fresh (-1)-leaf at u, decrementing u's weight."""
-    if type(u) is not int or u not in g._expand()[0]:
-        raise ValueError(f"no vertex {u}")
     return _blow_up(g, (u,), new_id)
 
 
@@ -1061,12 +1055,12 @@ def contract_all(g: DualGraph) -> DualGraph:
     or neighbors, and an edge goes only where it met the blown-down vertex,
     so those neighbors are the only vertices that can turn eligible (or stop
     being stuck) and the only ones pushed again.  On a graph given
-    vertex-level data this costs O(n log n).  Any other graph is contracted
-    on its compact form (_contract_compact), in time independent of the run
-    lengths.  The result, built from g's checked data, is not validated
-    again.
+    vertex-level data this costs O(n log n).  A graph that holds only the
+    compact form is contracted on it (_contract_compact), in time
+    independent of the run lengths.  The result, built from g's checked
+    data, is not validated again.
     """
-    if not g._given:
+    if g._weights is None:
         return _contract_compact(g)
     weights = g.weights
     adj: dict[int, set[int]] = {v: set() for v in weights}

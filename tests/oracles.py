@@ -282,7 +282,7 @@ def blow_up_rebuild(g, ends, new_id=None):
     elif ends and ends[0] not in g:
         raise ValueError(f"no vertex {ends[0]}")
     w = new_id if new_id is not None else max(g.vertex_ids, default=0) + 1
-    if w in g:
+    if w in g.weights:  # equal ids are in use: 1.0 and True name vertex 1
         raise ValueError(f"vertex id {w} already in use")
     weights = {x: wt - 1 if x in ends else wt for x, wt in g.weights.items()}
     weights[w] = -1

@@ -638,12 +638,13 @@ def test_edits_of_compact_only_graphs_never_expand(monkeypatch):
 
 
 def test_edits_follow_how_a_graph_was_made_not_its_views(monkeypatch):
-    """A family graph whose views were read is still edited on its compact
-    form, as a with_mark copy of it is; a graph given vertex by vertex is
-    spliced even once a query has compressed it, keeping its weights' order."""
+    """A family graph whose views were read still holds only the compact
+    form and is edited on it, as a with_mark copy of it is; a graph given
+    vertex by vertex is spliced even once a query has compressed it,
+    keeping its weights' order."""
     spec = FamilyInstance(3, A=(1000,), n=2, l=10**5)
     g = build_family(spec)
-    assert len(g.edges) == len(g) - 1 and g._weights is not None
+    assert len(g.edges) == len(g) - 1 and g._weights is None
     fresh = build_family(spec)
     want_down, want_done = blow_down(fresh, g.c), contract_all(fresh)
 
@@ -661,6 +662,49 @@ def test_edits_follow_how_a_graph_was_made_not_its_views(monkeypatch):
     for h in (given, given.with_mark(None)):
         assert list(blow_down(h, 3).weights) == [2, 1]
         assert list(contract_all(h).weights) == [2, 1]
+
+
+def test_a_blow_up_expands_its_parent_once_and_views_store_nothing(monkeypatch):
+    """Each blow-up of a graph that holds only the compact form expands it
+    once and makes every check on that expansion; reading the views stores
+    no expansion, so the graph still holds only the compact form."""
+    g = build_family(FamilyInstance(3, A=(1000,), n=2, l=40))
+    u, v = g.edges[-1]
+    expand, calls = DualGraph._expand, []
+
+    def counted(self):
+        calls.append(self)
+        return expand(self)
+
+    monkeypatch.setattr(DualGraph, "_expand", counted)
+    for edit, error in (
+        (lambda: blow_up_edge(g, v, u), None),
+        (lambda: blow_up_at(g, u), None),
+        (lambda: blow_up_free(g), None),
+        (lambda: blow_up_free(g, new_id=g.c), f"vertex id {g.c} already in use"),
+        (lambda: blow_up_edge(g, v, u + 1000), f"no edge ({v},{u + 1000})"),
+    ):
+        calls.clear()
+        got = _outcome(edit)
+        assert len(calls) == 1 and calls[0] is g
+        assert got == (ValueError, error) if error else got._weights is not None
+    for read in (lambda h: h.weights, lambda h: h.edges, lambda h: h.vertex_ids, repr):
+        read(g)
+    assert g._weights is None and g._edges is None
+
+
+@pytest.mark.parametrize("family, fields", [
+    (3, {}), (4, {"b": (3,)}), (5, {"b": (3,), "m": 5}),
+])
+def test_the_splice_and_the_compact_edits_agree_at_scale(family, fields):
+    """contract_all and blow_down of a family graph read back from DGN (the
+    splice) and of the graph itself (the compact form) write the same DGN."""
+    for l in (0, 10, 1000, 10**4):
+        g = build_family(FamilyInstance(family, A=(1000,), n=2, l=l, **fields))
+        given = parse_dgn(serialize_dgn(g))
+        assert given._weights is not None and g._weights is None
+        for edit in (contract_all, lambda h: blow_down(h, g.c)):
+            assert serialize_dgn(edit(given)) == serialize_dgn(edit(g))
 
 
 @st.composite
@@ -716,9 +760,9 @@ def test_edits_of_compact_run_graphs_match_the_oracles(g):
     compact form, in canonical form."""
     g = DualGraph._make(*g._compact(), None, None, g.c)  # only the compact form
     ones = [v for v, w in g._compact()[0].items() if w == -1]
-    edits = [(contract_all, lambda: contract_all_rescan(_twin(g), min))]
+    edits = [(contract_all, lambda: contract_all_rescan(g, min))]
     edits += [
-        (lambda h, v=v: blow_down(h, v), lambda v=v: blow_down_rebuild(_twin(g), v))
+        (lambda h, v=v: blow_down(h, v), lambda v=v: blow_down_rebuild(g, v))
         for v in ones
     ]
     for edit, oracle in edits:
@@ -727,12 +771,11 @@ def test_edits_of_compact_run_graphs_match_the_oracles(g):
         if not isinstance(want, DualGraph):
             assert got == want
             continue
-        seen = _twin(got)
         assert got._weights is None
-        assert (list(seen.weights.items()), seen.edges, seen.c) == (
+        assert (list(got.weights.items()), got.edges, got.c) == (
             list(want.weights.items()), want.edges, want.c
         )
-        assert DualGraph(seen.weights, seen.edges, seen.c) == got
+        assert DualGraph(got.weights, got.edges, got.c) == got
 
 
 def test_contract_all_at_l_bound_takes_time_independent_of_l():
@@ -781,13 +824,6 @@ def _edit_inputs(draw):
     return g
 
 
-def _twin(g):
-    """A graph holding g's data, so that reading the twin's vertex-level data
-    leaves g holding what it held (a graph that holds only the compact form
-    is edited on it)."""
-    return DualGraph._make(g._core, g._links, g._weights, g._edges, g.c)
-
-
 def _held(g):
     """Copies of the data g holds."""
     return {
@@ -806,22 +842,21 @@ def _outcome(edit, *args):
 
 
 def _draw_edit(data, g):
-    """One edit of g, as the library call and the oracle call; the draw and
-    the oracle read a twin of g."""
-    t = _twin(g)
-    ids = sorted(t.weights)
-    ones = [v for v in ids if t.weight(v) == -1]
+    """One edit of g, as the library call and the oracle call."""
+    ids = sorted(g.weights)
+    ones = [v for v in ids if g.weight(v) == -1]
     x = data.draw(st.sampled_from(ones + ids + [max(ids, default=0) + 7]))
-    new_id = data.draw(st.sampled_from([None, None, x, -50]))  # x may be in use
-    pairs = list(t.edges) + list(itertools.combinations(ids[:4], 2))
+    # x may be in use, and 1.0 and True equal vertex 1 without being ints
+    new_id = data.draw(st.sampled_from([None, None, x, -50, 1.0, True]))
+    pairs = list(g.edges) + list(itertools.combinations(ids[:4], 2))
     u, v = data.draw(st.sampled_from(pairs)) if pairs else (0, 1)
     return data.draw(st.sampled_from([
-        (lambda: blow_up_edge(g, v, u, new_id), lambda: blow_up_rebuild(t, (v, u), new_id)),
-        (lambda: blow_up_at(g, x, new_id), lambda: blow_up_rebuild(t, (x,), new_id)),
-        (lambda: blow_up_free(g, new_id), lambda: blow_up_rebuild(t, (), new_id)),
-        (lambda: blow_down(g, x), lambda: blow_down_rebuild(t, x)),
-        (lambda: blow_down(g, x), lambda: blow_down_rebuild(t, x)),
-        (lambda: contract_all(g), lambda: contract_all_rescan(t, min)),
+        (lambda: blow_up_edge(g, v, u, new_id), lambda: blow_up_rebuild(g, (v, u), new_id)),
+        (lambda: blow_up_at(g, x, new_id), lambda: blow_up_rebuild(g, (x,), new_id)),
+        (lambda: blow_up_free(g, new_id), lambda: blow_up_rebuild(g, (), new_id)),
+        (lambda: blow_down(g, x), lambda: blow_down_rebuild(g, x)),
+        (lambda: blow_down(g, x), lambda: blow_down_rebuild(g, x)),
+        (lambda: contract_all(g), lambda: contract_all_rescan(g, min)),
     ]))
 
 
@@ -831,8 +866,8 @@ def test_edits_splice_like_the_rebuild_oracle(g, data):
     """Chains of edits give the oracle's graphs, weights in the same order,
     keep the edge invariant, leave the parent as it was, and refuse what the
     oracle refuses, with its error type and message; a refused edit leaves
-    the chain where it was.  The chain's graphs are read through twins, so a
-    graph that holds only the compact form is edited on it."""
+    the chain where it was.  Reading a graph's views stores nothing, so a
+    graph that holds only the compact form is still edited on it."""
     for _ in range(data.draw(st.integers(1, 10))):
         edit, oracle = _draw_edit(data, g)
         want = _outcome(oracle)
@@ -842,14 +877,13 @@ def test_edits_splice_like_the_rebuild_oracle(g, data):
         if not isinstance(want, DualGraph):
             assert got == want
             continue
-        seen = _twin(got)
-        assert (list(seen.weights.items()), seen.edges, seen.c) == (
+        assert (list(got.weights.items()), got.edges, got.c) == (
             list(want.weights.items()), want.edges, want.c
         )
-        assert type(seen._edges) is tuple
-        assert all(u < v for u, v in seen._edges)
-        assert list(seen._edges) == sorted(set(seen._edges))
-        assert DualGraph(seen.weights, seen.edges, seen.c) == got
+        assert type(got.edges) is tuple
+        assert all(u < v for u, v in got.edges)
+        assert list(got.edges) == sorted(set(got.edges))
+        assert DualGraph(got.weights, got.edges, got.c) == got
         g = got
 
 
