@@ -98,8 +98,12 @@ def _load_spec(arg: str) -> FamilyInstance:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    value = text.strip()
     try:
-        return Fraction(text.strip())
+        # Fraction reads inner spaces from Python 3.13 on and "_" from 3.11 on
+        if "_" in value or len(value.split()) > 1:
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(1, f"invalid rational {text!r}: {exc}")
 

@@ -432,7 +432,6 @@ def _match_side_arms(arms):
     A*.  Returns (A, n) or a failure reason.
     """
     reasons = []
-    matches = []
     for cap_arm, star_arm in (arms, tuple(reversed(arms))):
         if _size(cap_arm) < 2:
             reasons.append("unrecognized shape")
@@ -450,9 +449,7 @@ def _match_side_arms(arms):
         if adjoint(a) != star:
             reasons.append("adjoint mismatch")
             continue
-        matches.append((a, n))
-    if matches:
-        return matches[0], None
+        return (a, n), None
     return None, reasons[0]
 
 
@@ -606,7 +603,6 @@ def classify_family_all(g: DualGraph) -> tuple[list[FamilyInstance], str]:
     reason = "" if matches else next(
         (r for r in reasons if r != "unrecognized shape"), "unrecognized shape"
     )
-    matches.sort(key=lambda s: s.family)
     return matches, reason
 
 

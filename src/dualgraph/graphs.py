@@ -15,13 +15,14 @@ range when consecutive ids step by +-1 and a tuple otherwise; None is a free
 end and an empty run is a direct edge between two core vertices.  Links are
 oriented and sorted canonically, so equal graphs have equal compact forms.
 The family builders emit this form with their links oriented, so it is only
-sorted, and delete() cuts it and re-joins it only around the deleted vertex;
-either reruns _normalize only when a (-2)-vertex must join a run.  Both take
-time independent of the run lengths.  Every query (weights, membership,
-size, ==, the hash, cuts, neighbours, degrees, edge tests, the passes below)
-reads only the compact form, compressing vertex-level data on first use, and
-expands no run; a run vertex is found by one scan of the links (_run_of), and
-only an int names a vertex.
+sorted, and delete() cuts it only around the deleted vertex and puts the
+pieces back by the re-join the compact edits share (_rejoin); either reruns
+_normalize only when a (-2)-vertex must join a run.  Both take time
+independent of the run lengths.  Every query (weights, membership, size, ==,
+the hash, cuts, neighbours, degrees, edge tests, the passes below) reads only
+the compact form, compressing vertex-level data on first use, and expands no
+run; a run vertex is found by one scan of the links (_run_of), and only an int
+names a vertex.
 
 Vertex-level weights and edges (_edges: a sorted tuple of distinct (u, v),
 u < v) are held only by a graph given them: by DualGraph(), parse_dgn, a
@@ -33,20 +34,20 @@ blocks (a core vertex, a vertex of a tuple run, a range run), never the
 vertices of a run; DGN output reads the same walk and expands nothing
 (dgn.serialize_dgn).
 
-Which way an edit goes follows what the graph holds.  A graph that holds
-only the compact form (a family build, a cut, blow_down or contract_all of
-such a graph, and their with_mark copies) is blown down and contracted on
-it: blow_down re-joins it around the vertex as delete() does, and
-contract_all eats a run in closed form, so both take time independent of the
-run lengths and return a graph that holds only the compact form, whose
-weights expand in id order as the parent's do.  A graph given vertex-level
-data keeps the order its weights were given in, which the compact form does
-not record, so its edits splice that data, even once a query has compressed
-it, as the blow-ups do on every graph (a blow-up's new vertex comes last in
-its weights).  A splice copies the parent's checked data, deleting or
-insorting only the touched entries, and never compresses; no edit validates
-its result again (_make), and the parent's data, which with_mark copies
-share, never changes.
+Which way an edit goes follows what the graph holds.  A graph that holds only
+the compact form (a family build, a cut, blow_down or contract_all of such a
+graph, and their with_mark copies) is blown down and contracted on it:
+blow_down cuts it around the vertex and re-joins it by delete()'s _rejoin, and
+contract_all reads its neighbours off core_links() and eats a run in closed
+form, so both take time independent of the run lengths and return a graph that
+holds only the compact form, whose weights expand in id order as the parent's
+do.  A graph given vertex-level data keeps the order its weights were given
+in, which the compact form does not record, so its edits splice that data,
+even once a query has compressed it, as the blow-ups do on every graph (a
+blow-up's new vertex comes last in its weights).  A splice copies the parent's
+checked data, deleting or insorting only the touched entries, and never
+compresses; no edit validates its result again (_make), and the parent's data,
+which with_mark copies share, never changes.
 
 One DFS over the core, once per graph, finds the components (_core_dfs),
 each as its core vertices, its runs and its count of core-to-core links;
@@ -321,13 +322,13 @@ class DualGraph:
         """The graph with vertex v (and its edges) removed.
 
         The compact form (compressed first from vertex-level data) is cut
-        and re-joined only around v, in time independent of the run lengths.
-        The links that do not touch v keep their places; the pieces of those
-        that do, at most deg(v) of them or two when v splits a run, are
-        oriented as _normalize orients links and inserted in order.
-        _normalize runs only when a (-2) core end might now be absorbed: when
-        it lost a direct edge to v, or ends the run that v split.  The cut
-        holds only the compact form, which its views expand on each read.
+        only around v, in time independent of the run lengths.  The links
+        that do not touch v keep their places; the pieces of those that do,
+        at most deg(v) of them or two when v splits a run, are re-joined by
+        the one re-join the compact edits share (_rejoin), whose _normalize
+        runs only when a (-2) core end might now be absorbed: when it lost a
+        direct edge to v, or ends the run that v split.  The cut holds only
+        the compact form, which its views expand on each read.
         """
         c = None if self._c == v else self._c
         core, old = self._compact()
@@ -354,16 +355,7 @@ class DualGraph:
             k = ids.index(v)
             pieces = [p for p in ((a, None, ids[:k]), (None, b, ids[k + 1 :])) if p[2]]
             ends = [a, b]
-        if any(u is not None and core[u] == -2 for u in ends):
-            core, links = _normalize(core, links + pieces)
-        else:
-            extra, pieces = _orient(pieces)
-            if extra:
-                core = {**core, **extra}
-            for link in pieces:
-                insort(links, link, key=_link_key)
-            links = tuple(links)
-        return DualGraph._make(core, links, None, None, c)
+        return _rejoin(core, links, pieces, ends, c)
 
     def minus_c(self) -> "DualGraph":
         """The graph without its C-vertex, cut on first use and kept."""
@@ -457,6 +449,22 @@ def _normalize(
     out.sort(key=_link_key)
     core.update(extra)
     return core, tuple(out)
+
+
+def _rejoin(core, links: list[_Link], pieces: list[_Link], ends, c) -> DualGraph:
+    """The graph of a compact form cut around one vertex: core, the sorted
+    links away from the cut, and the pieces of those that met it.  If a core
+    vertex of ends now weighs -2, it might join a run, so _normalize makes
+    the form again; else the pieces are oriented and inserted in order."""
+    if any(u is not None and core[u] == -2 for u in ends):
+        core, links = _normalize(core, links + pieces)
+    else:
+        extra, pieces = _orient(pieces)
+        if extra:
+            core = {**core, **extra}
+        for link in pieces:
+            insort(links, link, key=_link_key)
+    return DualGraph._make(core, tuple(links), None, None, c)
 
 
 def _orient(links: Iterable[_Link]) -> tuple[dict[int, int], list[_Link]]:
@@ -919,10 +927,10 @@ def blow_down(g: DualGraph, v: int) -> DualGraph:
     with two neighbors the traversing edge is fused.  Remaining ids are kept;
     a mark on v disappears with it.  The result is built from g's checked
     data and not validated again.  A graph that holds only the compact form
-    is cut and re-joined around v on it (_blow_down_compact), in time
-    independent of the run lengths; one given vertex-level data is spliced
-    from it (bisect on the sorted edges) in O(n), so its weights keep their
-    order.
+    is cut around v on it (_blow_down_compact) and re-joined as delete()
+    re-joins (_rejoin), in time independent of the run lengths; one given
+    vertex-level data is spliced from it (bisect on the sorted edges) in
+    O(n), so its weights keep their order.
     """
     compact = g._weights is None
     if compact:
@@ -962,10 +970,10 @@ def blow_down(g: DualGraph, v: int) -> DualGraph:
 
 def _blow_down_compact(g: DualGraph, v: int, nbrs: list[int], c) -> DualGraph:
     """blow_down of the core (-1)-vertex v, with sorted neighbors nbrs, on
-    g's compact form, re-joined only around v as delete() does it.  The links
-    away from v keep their places.  Each run next to v loses v, and its end
-    next to v goes from -2 to -1 and becomes core; the fused edge joins
-    nbrs.  These pieces are oriented and inserted in order; _normalize runs
+    g's compact form, cut only around v as delete() cuts it.  The links away
+    from v keep their places.  Each run next to v loses v, and its end next
+    to v goes from -2 to -1 and becomes core; the fused edge joins nbrs.
+    delete()'s re-join (_rejoin) puts these pieces back; its _normalize runs
     only when a core neighbor now weighs -2 and might join a run."""
     core, old = g._compact()
     core = {u: w for u, w in core.items() if u != v}
@@ -988,12 +996,7 @@ def _blow_down_compact(g: DualGraph, v: int, nbrs: list[int], c) -> DualGraph:
         core[a] = -1
         if ids or b is not None:
             pieces.append((a, b, ids))
-    if any(core[u] == -2 for u in nbrs):
-        core, links = _normalize(core, links + pieces)
-    else:
-        for link in _orient(pieces)[1]:  # each piece has a core end
-            insort(links, link, key=_link_key)
-    return DualGraph._make(core, tuple(links), None, None, c)
+    return _rejoin(core, links, pieces, nbrs, c)
 
 
 def _blow_up(g: DualGraph, ends: tuple, new_id: int | None) -> DualGraph:
@@ -1056,9 +1059,9 @@ def contract_all(g: DualGraph) -> DualGraph:
     so those neighbors are the only vertices that can turn eligible (or stop
     being stuck) and the only ones pushed again.  On a graph given
     vertex-level data this costs O(n log n).  A graph that holds only the
-    compact form is contracted on it (_contract_compact), in time
-    independent of the run lengths.  The result, built from g's checked
-    data, is not validated again.
+    compact form is contracted on it (_contract_compact), over the adjacency
+    that core_links() caches, in time independent of the run lengths.  The
+    result, built from g's checked data, is not validated again.
     """
     if g._weights is None:
         return _contract_compact(g)
@@ -1114,29 +1117,20 @@ def _contract_compact(g: DualGraph) -> DualGraph:
     """contract_all on g's compact form: the same heap order, the same
     vertices set aside, the same result.
 
-    adj maps each core vertex to its neighbors, each with the link it lies
-    on as (far core end or None, run ids ordered away from the vertex).  A
-    (-1)-vertex is core, so the heap holds only core vertices.  Blowing one
-    down turns the end of each run next to it into a (-1) core vertex; the
-    form is made canonical again once, at the end.  When v has one run link
-    and at most one other neighbor o, joined by an edge, the contraction
-    often goes on down that run, o gaining 1 for each vertex: _eat_run eats
-    those vertices in closed form before v is blown down.
+    adj maps each core vertex to its neighbors, each with its link as
+    core_links() has it (far core end or None, run ids away from the
+    vertex).  A (-1)-vertex is core, so the heap holds only core vertices.
+    Blowing one down turns the end of each run next to it into a (-1) core
+    vertex; the form is made canonical again once, at the end.  When v has
+    one run link and at most one other neighbor o, joined by an edge, the
+    contraction often goes on down that run, o gaining 1 for each vertex:
+    _eat_run eats those vertices in closed form before v is blown down.
     """
     core, links = g._compact()
     wts = dict(core)
-    adj: dict[int, dict[int, _End]] = {u: {} for u in core}
-    free = []  # (-2)-chains without core: no (-1), never touched
-    n, c = len(core), g.c
-    for link in links:
-        a, b, ids = link
-        n += len(ids)
-        if a is None:
-            free.append(link)
-            continue
-        adj[a][ids[0] if ids else b] = (b, ids)
-        if b is not None:
-            adj[b][ids[-1] if ids else a] = (a, ids[::-1])
+    adj = {u: {link_neighbor(e): e for e in ends} for u, ends in g.core_links().items()}
+    free = [link for link in links if link[0] is None]  # core-free: never touched
+    n, c = g._size(), g.c
     heap = sorted(v for v, w in core.items() if w == -1)
     aside: set[int] = set()
     while n > 2:

@@ -34,7 +34,6 @@ from .graphs import (
     contract_all,
     graph_d,
     is_negative_definite,
-    is_tree,
     isomorphic,
     shape_report,
     signed_determinant,
@@ -82,6 +81,14 @@ def _twigs(
         if max_det is None or twig_determinant(t) <= max_det:
             yield t
             yield from _twigs(max_len, max_weight, max_det, t)
+
+
+def _grid(budget: Budget) -> Iterator[tuple[Twig, int]]:
+    """Every (A, n) of the budget's box, A the outer loop: the admissible
+    twigs A with determinant at most max_det, and 2 <= n <= max_n."""
+    for a in _twigs(budget.max_len, budget.max_det, budget.max_det):
+        for n in range(2, budget.max_n + 1):
+            yield a, n
 
 
 def _b_twigs(budget: Budget) -> list[Twig]:
@@ -213,34 +220,24 @@ def verify_threshold_suite(
     length sweeps the entire range through bound+2 for every (A, n); families
     (4) and (5) use fixed small b (and m) representatives."""
     run = _Run("threshold", budget.to_json_dict())
-    twigs = list(_twigs(budget.max_len, budget.max_det, budget.max_det))
     b4 = _b_reps(budget, _THRESHOLD_B4)
     b5 = _b_reps(budget, _THRESHOLD_B5)
     ms = sorted({0, min(1, budget.max_m)})
-    for a in twigs:
-        for n in range(2, budget.max_n + 1):
-            bound = l_bound(a, n)
-            shapes: list[FamilyInstance] = [FamilyInstance(family=3, A=a, n=n)]
-            shapes += [FamilyInstance(family=4, A=a, n=n, b=b) for b in b4]
-            shapes += [
-                FamilyInstance(family=5, A=a, n=n, b=b, m=m)
-                for b in b5
-                for m in ms
-            ]
-            for shape in shapes:
-                for l in range(0, bound + 3):
-                    spec = FamilyInstance(
-                        family=shape.family, A=a, n=n, l=l, b=shape.b,
-                        m=shape.m,
-                    )
-                    run.instance(_spec_key, spec)
-                    g = build_family(spec, strict=False)
-                    got = negdef_fn(g.minus_c())
-                    run.check(
-                        got == (l <= bound),
-                        "negdef-iff-run-bound",
-                        lambda: f"bound {bound}, negdef {got}",
-                    )
+    for a, n in _grid(budget):
+        bound = l_bound(a, n)
+        shapes = [(3, None, None)] + [(4, b, None) for b in b4]
+        shapes += [(5, b, m) for b in b5 for m in ms]
+        for family, b, m in shapes:
+            for l in range(0, bound + 3):
+                spec = FamilyInstance(family=family, A=a, n=n, l=l, b=b, m=m)
+                run.instance(_spec_key, spec)
+                g = build_family(spec, strict=False)
+                got = negdef_fn(g.minus_c())
+                run.check(
+                    got == (l <= bound),
+                    "negdef-iff-run-bound",
+                    lambda: f"bound {bound}, negdef {got}",
+                )
     return run.report()
 
 
@@ -288,33 +285,29 @@ def verify_trichotomy_suite(
     at two pinned (A,n) pockets).
     """
     run = _Run("trichotomy", budget.to_json_dict())
-    twigs = list(_twigs(budget.max_len, budget.max_det, budget.max_det))
     all_b = _b_twigs(budget)
     b4 = _b_reps(budget, _TRI_B4)
     b5 = _b_reps(budget, _TRI_B5)
     ms = sorted({m for m in (0, 1, 2, budget.max_m) if m <= budget.max_m})
 
     def stream() -> Iterator[FamilyInstance]:
-        for a in twigs:
-            for n in range(2, budget.max_n + 1):
-                pocket = (a, n) in _FULL_POCKETS
-                yield FamilyInstance(family=2, A=a, n=n)
-                bound = l_bound(a, n)
-                t = trivial_threshold(a, n)
-                for l in _run_lengths(bound, (t, t - 1)):
-                    yield FamilyInstance(family=3, A=a, n=n, l=l)
-                    for b in (all_b if pocket else b4):
-                        yield FamilyInstance(family=4, A=a, n=n, l=l, b=b)
-                    for b in (all_b if pocket else b5):
-                        for m in ms:
-                            yield FamilyInstance(
-                                family=5, A=a, n=n, l=l, b=b, m=m
-                            )
-                for b in all_b:
-                    yield FamilyInstance(family=6, A=a, n=n, b=b)
-                    if len(b) <= 2 or pocket:
-                        for m in ms:
-                            yield FamilyInstance(family=7, A=a, n=n, b=b, m=m)
+        for a, n in _grid(budget):
+            pocket = (a, n) in _FULL_POCKETS
+            yield FamilyInstance(family=2, A=a, n=n)
+            bound = l_bound(a, n)
+            t = trivial_threshold(a, n)
+            for l in _run_lengths(bound, (t, t - 1)):
+                yield FamilyInstance(family=3, A=a, n=n, l=l)
+                for b in (all_b if pocket else b4):
+                    yield FamilyInstance(family=4, A=a, n=n, l=l, b=b)
+                for b in (all_b if pocket else b5):
+                    for m in ms:
+                        yield FamilyInstance(family=5, A=a, n=n, l=l, b=b, m=m)
+            for b in all_b:
+                yield FamilyInstance(family=6, A=a, n=n, b=b)
+                if len(b) <= 2 or pocket:
+                    for m in ms:
+                        yield FamilyInstance(family=7, A=a, n=n, b=b, m=m)
 
     for spec in stream():
         run.instance(_spec_key, spec)
@@ -345,6 +338,19 @@ def verify_trichotomy_suite(
 # -- boundary axioms suite -------------------------------------------------------
 
 _AX_B = ((3,), (4, 2), (3, 3))
+# one frozen witness per shape class: spec, instance key, check name, and
+# what its two off-C components are (C has degree 2)
+_WITNESSES = (
+    (FamilyInstance(family=2, A=(3,), n=2),
+     "family=2 A=[3] n=2", "spot-chain-shape",
+     lambda comps: all(c.kind == "chain" for c in comps)),
+    (FamilyInstance(family=4, A=(2,), n=2, l=1, b=(3,)),
+     "family=4 A=[2] n=2 l=1 b=[3]", "spot-one-branch-shape",
+     lambda comps: sorted(c.kind for c in comps) == ["chain", "star"]),
+    (FamilyInstance(family=5, A=(2,), n=2, l=0, b=(3,), m=1),
+     "family=5 A=[2] n=2 l=0 b=[3] m=1", "spot-two-branch-shape",
+     lambda comps: min(len(c.vertices) for c in comps) == 1),
+)
 
 
 def verify_boundary_axioms_suite(budget: Budget = Budget()) -> dict:
@@ -353,7 +359,6 @@ def verify_boundary_axioms_suite(budget: Budget = Budget()) -> dict:
     and at most two chain-or-star components once C is removed.  Includes one
     frozen spot check per shape class."""
     run = _Run("axioms", budget.to_json_dict())
-    twigs = list(_twigs(budget.max_len, budget.max_det, budget.max_det))
     all_b = _b_twigs(budget)
     b_reps = _b_reps(budget, _AX_B)
     ms = sorted({m for m in (0, 1, budget.max_m) if m <= budget.max_m})
@@ -361,24 +366,21 @@ def verify_boundary_axioms_suite(budget: Budget = Budget()) -> dict:
     def stream() -> Iterator[FamilyInstance]:
         for n in range(2, budget.max_n + 1):
             yield FamilyInstance(family=1, n=n)
-        for a in twigs:
-            for n in range(2, budget.max_n + 1):
-                yield FamilyInstance(family=2, A=a, n=n)
-                bound = l_bound(a, n)
-                lset = sorted({0, 1, bound // 2, bound})
-                for l in lset:
-                    yield FamilyInstance(family=3, A=a, n=n, l=l)
-                for b in b_reps:
-                    for l in (0, bound):
-                        yield FamilyInstance(family=4, A=a, n=n, l=l, b=b)
-                        for m in ms:
-                            yield FamilyInstance(
-                                family=5, A=a, n=n, l=l, b=b, m=m
-                            )
-                for b in all_b:
-                    yield FamilyInstance(family=6, A=a, n=n, b=b)
+        for a, n in _grid(budget):
+            yield FamilyInstance(family=2, A=a, n=n)
+            bound = l_bound(a, n)
+            lset = sorted({0, 1, bound // 2, bound})
+            for l in lset:
+                yield FamilyInstance(family=3, A=a, n=n, l=l)
+            for b in b_reps:
+                for l in (0, bound):
+                    yield FamilyInstance(family=4, A=a, n=n, l=l, b=b)
                     for m in ms:
-                        yield FamilyInstance(family=7, A=a, n=n, b=b, m=m)
+                        yield FamilyInstance(family=5, A=a, n=n, l=l, b=b, m=m)
+            for b in all_b:
+                yield FamilyInstance(family=6, A=a, n=n, b=b)
+                for m in ms:
+                    yield FamilyInstance(family=7, A=a, n=n, b=b, m=m)
 
     for spec in stream():
         run.instance(_spec_key, spec)
@@ -391,13 +393,13 @@ def verify_boundary_axioms_suite(budget: Budget = Budget()) -> dict:
             "signed-determinant-parity",
             lambda: str(signed),
         )
-        run.check(is_tree(g), "tree")
+        shape = shape_report(g)
+        run.check(shape.is_tree, "tree")
         c_weight = g.weight(g.c)
         want_c = 0 if spec.family == 1 else -1
         run.check(c_weight == want_c, "c-weight", lambda: str(c_weight))
-        c_degree = g.degree(g.c)
-        run.check(c_degree <= 2, "c-degree", lambda: str(c_degree))
-        comps = shape_report(g).components
+        run.check(shape.c_degree <= 2, "c-degree", lambda: str(shape.c_degree))
+        comps = shape.components
         run.check(
             len(comps) <= 2
             and all(comp.kind in ("chain", "star") for comp in comps),
@@ -405,34 +407,13 @@ def verify_boundary_axioms_suite(budget: Budget = Budget()) -> dict:
             lambda: ";".join(comp.kind for comp in comps),
         )
 
-    # one frozen witness per shape class
-    chain = build_family(FamilyInstance(family=2, A=(3,), n=2))
-    sr = shape_report(chain)
-    run.instance(str, "family=2 A=[3] n=2")
-    run.check(
-        sr.c_degree == 2
-        and len(sr.components) == 2
-        and all(c.kind == "chain" for c in sr.components),
-        "spot-chain-shape",
-    )
-    star = build_family(FamilyInstance(family=4, A=(2,), n=2, l=1, b=(3,)))
-    sr = shape_report(star)
-    run.instance(str, "family=4 A=[2] n=2 l=1 b=[3]")
-    run.check(
-        sr.c_degree == 2
-        and len(sr.components) == 2
-        and sorted(c.kind for c in sr.components) == ["chain", "star"],
-        "spot-one-branch-shape",
-    )
-    double = build_family(FamilyInstance(family=5, A=(2,), n=2, l=0, b=(3,), m=1))
-    sr = shape_report(double)
-    run.instance(str, "family=5 A=[2] n=2 l=0 b=[3] m=1")
-    run.check(
-        sr.c_degree == 2
-        and len(sr.components) == 2
-        and sorted(len(c.vertices) for c in sr.components)[0] == 1,
-        "spot-two-branch-shape",
-    )
+    for spec, key, name, shaped in _WITNESSES:
+        sr = shape_report(build_family(spec))
+        run.instance(str, key)
+        run.check(
+            sr.c_degree == 2 and len(sr.components) == 2 and shaped(sr.components),
+            name,
+        )
     return run.report()
 
 
@@ -481,32 +462,23 @@ def verify_contraction_suite(
     same laws.  Also: contract_all keeps the determinant at -1 on every
     instance.  blow_fn is injectable so a corrupted move is caught."""
     run = _Run("contraction", budget.to_json_dict())
-    twigs = list(_twigs(budget.max_len, budget.max_det, budget.max_det))
     b_reps = _b_reps(budget, _CT_B)
     ms = sorted({m for m in (1, 2, budget.max_m) if 1 <= m <= budget.max_m})
 
     def stream() -> Iterator[tuple[FamilyInstance, bool]]:
-        for a in twigs:
-            for n in range(2, budget.max_n + 1):
-                yield FamilyInstance(family=2, A=a, n=n), True
-                bound = l_bound(a, n)
-                for b in b_reps:
-                    for l in sorted({0, 1, bound, bound + 1, bound + 2}):
-                        yield (
-                            FamilyInstance(family=4, A=a, n=n, l=l, b=b),
-                            l <= bound,
-                        )
-                        for m in ms:
-                            yield (
-                                FamilyInstance(
-                                    family=5, A=a, n=n, l=l, b=b, m=m
-                                ),
-                                l <= bound,
-                            )
-                for b in b_reps:
-                    yield FamilyInstance(family=6, A=a, n=n, b=b), True
+        for a, n in _grid(budget):
+            yield FamilyInstance(family=2, A=a, n=n), True
+            bound = l_bound(a, n)
+            for b in b_reps:
+                for l in sorted({0, 1, bound, bound + 1, bound + 2}):
+                    valid = l <= bound
+                    yield FamilyInstance(family=4, A=a, n=n, l=l, b=b), valid
                     for m in ms:
-                        yield FamilyInstance(family=7, A=a, n=n, b=b, m=m), True
+                        yield FamilyInstance(family=5, A=a, n=n, l=l, b=b, m=m), valid
+            for b in b_reps:
+                yield FamilyInstance(family=6, A=a, n=n, b=b), True
+                for m in ms:
+                    yield FamilyInstance(family=7, A=a, n=n, b=b, m=m), True
 
     for spec, valid in stream():
         g = build_family(spec, strict=False)
@@ -591,23 +563,25 @@ def verify_contraction_suite(
 
 # -- combined runner -------------------------------------------------------------
 
-SUITES = ("fujita", "threshold", "trichotomy", "axioms", "contraction")
+# each suite by name, in report order
+_SUITES: dict[str, Callable[[Budget], dict]] = {
+    "fujita": lambda budget: verify_fujita_suite(budget.max_len, budget.max_b_weight),
+    "threshold": verify_threshold_suite,
+    "trichotomy": verify_trichotomy_suite,
+    "axioms": verify_boundary_axioms_suite,
+    "contraction": verify_contraction_suite,
+}
+SUITES = tuple(_SUITES)
 
 
 def verify_suite(name: str, budget: Budget = Budget()) -> dict:
     """Run one named suite under the budget (fujita takes its caps from
     max_len and max_b_weight)."""
-    if name == "fujita":
-        return verify_fujita_suite(budget.max_len, budget.max_b_weight)
-    if name == "threshold":
-        return verify_threshold_suite(budget)
-    if name == "trichotomy":
-        return verify_trichotomy_suite(budget)
-    if name == "axioms":
-        return verify_boundary_axioms_suite(budget)
-    if name == "contraction":
-        return verify_contraction_suite(budget)
-    raise DomainError(f"unknown suite {name!r}")
+    try:
+        suite = _SUITES[name]
+    except (KeyError, TypeError):  # TypeError: a name that cannot be hashed
+        raise DomainError(f"unknown suite {name!r}") from None
+    return suite(budget)
 
 
 def verify_all(budget: Budget = Budget()) -> dict:

@@ -48,6 +48,7 @@ def test_twig_det_and_repetition(capsys):
 def test_twig_inductance_round_trip(capsys):
     assert doc_of(capsys, "twig", "inductance", "[2,3]") == {"e": "3/5"}
     assert doc_of(capsys, "twig", "from-e", "3/5") == {"twig": "[2,3]"}
+    assert doc_of(capsys, "twig", "from-e", " 3/5 ") == {"twig": "[2,3]"}
 
 
 def test_twig_parse_error_is_exit_2(capsys):
@@ -55,6 +56,15 @@ def test_twig_parse_error_is_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["2/ 3", "2 /3", "2_0/3"])
+def test_twig_from_e_refuses_inner_spaces_and_underscores(capsys, value):
+    # Fraction reads these on some interpreters and refuses them on others
+    code, out, err = run_cli(capsys, "twig", "from-e", value)
+    assert (code, out) == (2, "")
+    literal = f"Invalid literal for Fraction: {value!r}"
+    assert err == f"error: line 1: invalid rational {value!r}: {literal}\n"
 
 
 def test_twig_from_e_domain_error_is_exit_1(capsys):

@@ -76,6 +76,8 @@ def test_parse_edge_before_vertex_is_fine():
         ("e 1 2\nchain 1 -2 -2\n", 2, "duplicate edge"),
         ("chain 1 -2 -2\nv 4 -3\nchain 5 -2 q\n", 3, "chain weight"),
         ("chain p -2\n", 1, "chain first id"),
+        ("v 1 -2\ne 1 x\n", 2, "edge endpoint must be an integer, got 'x'"),
+        ("v 1 -2\ne 1.5 1\n", 2, "edge endpoint must be an integer, got '1.5'"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):

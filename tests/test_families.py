@@ -244,6 +244,7 @@ class TestValidation:
             (dict(family=4, A=(True,), n=2.5, l=0.0, b=(3,)), "field 'n'"),
             (dict(family=4, A=(True,), n=2, l=0.0, b=(3,)), "field 'l'"),
             (dict(family=7, A=(2,), n=2, b="3", m=1), "field 'b' must be a list"),
+            (dict(family=6, A=(2,), n=2, b=()), "^b must be a nonempty admissible twig$"),
         ],
     )
     def test_rejections(self, bad, message):
@@ -262,6 +263,23 @@ class TestValidation:
     def test_figure1_parameters_must_be_ints(self, args, field):
         with pytest.raises(InvalidFamilyParams, match=f"^field {field}"):
             figure1_graph(*args)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (((), 0, 2), "A must be a nonempty admissible twig"),
+            (((2, 1), 0, 2), "A must be a nonempty admissible twig"),
+            (((3,), 0, 1), "n >= 2 violated"),
+            (((3,), -1, 2), "m >= 0 violated"),
+            # A is read first, then n, then m
+            (((1,), -1, 1), "A must be a nonempty admissible twig"),
+            (((3,), -1, 1), "n >= 2 violated"),
+        ],
+    )
+    def test_figure1_refusals(self, args, message):
+        with pytest.raises(InvalidFamilyParams) as exc:
+            figure1_graph(*args)
+        assert str(exc.value) == message
 
     def test_l_bound_is_enforced_only_when_strict(self):
         s = spec(3, A=(2,), n=2, l=5)  # bound is 4

@@ -128,6 +128,10 @@ def test_equality_and_mark():
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != g1.with_mark(None)
     assert g1.minus_c() == DualGraph({2: -2}, [])
+    assert g1.__eq__(3) is NotImplemented and (g1 == 3) is False
+    with pytest.raises(DomainError) as exc:
+        g1.with_mark(None).minus_c()
+    assert str(exc.value) == "graph has no C-marked vertex"
 
 
 def test_delete_drops_mark_with_vertex():
@@ -776,6 +780,32 @@ def test_edits_of_compact_run_graphs_match_the_oracles(g):
             list(want.weights.items()), want.edges, want.c
         )
         assert DualGraph(got.weights, got.edges, got.c) == got
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_compact_edits_of_a_minus_one_vertex_alone_on_a_cycle(k):
+    """A (-1) core vertex whose one link is a self-loop run of k
+    (-2)-vertices: blow_down and contract_all take the self-loop branches of
+    the compact edits and agree with the splice on the vertex-level twin."""
+    g = DualGraph._from_parts({0: -1}, [(0, 0, range(1, k + 1))], None)
+    twin = DualGraph(g.weights, g.edges)
+    assert g._weights is None and twin._weights is not None
+    # the branch runs once per run end next to the vertex blown down: the
+    # blow-down cuts the loop as one link, the contraction meets both ends
+    for edit, func, marker, times in (
+        (lambda h: blow_down(h, 0), graphs._blow_down_compact, "b, ids = ids[-1]", 1),
+        (contract_all, graphs._contract_compact, "far, rest = rest[-1]", 2),
+    ):
+        assert _line_hits(func, marker, lambda: _outcome(edit, twin)) == 0
+        hits = []
+        assert _line_hits(func, marker, lambda: hits.append(_outcome(edit, g))) == times
+        (got,), want = hits, _outcome(edit, twin)
+        if not isinstance(want, DualGraph):
+            assert got == want
+            continue
+        assert got._weights is None and want._weights is not None
+        assert (got.weights, got.edges, got.c) == (want.weights, want.edges, want.c)
+        assert serialize_dgn(got) == serialize_dgn(want)
 
 
 def test_contract_all_at_l_bound_takes_time_independent_of_l():
