@@ -12,6 +12,7 @@ library defect (InternalDefect: an invariant of the library itself broke),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -232,7 +233,10 @@ def _cmd_verify(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: main() only reads it,
+    and building it costs each in-process call more than most commands."""
     parser = argparse.ArgumentParser(
         prog="dualgraph",
         description="Weighted dual graphs of compactifications of the plane.",

@@ -295,6 +295,22 @@ def build_family(spec: FamilyInstance, strict: bool = True) -> DualGraph:
     return asm.graph()
 
 
+def _check_figure1(A: Twig, m: int, n: int) -> None:
+    """Refuse the figure-1 parameters that figure1_graph cannot build: the
+    types, then A, n and m, then the one excluded choice."""
+    _check_types({"n": n, "m": m, "A": A}, ("n", "m", "A"))
+    if len(A) == 0 or not is_admissible(A):
+        raise InvalidFamilyParams("A must be a nonempty admissible twig")
+    if n < 2:
+        raise InvalidFamilyParams("n >= 2 violated")
+    if m < 0:
+        raise InvalidFamilyParams("m >= 0 violated")
+    if tuple(A) == (2,) and m == 0 and n == 2:
+        raise InvalidFamilyParams(
+            "A=[2] with (m,n)=(0,2) is excluded (run would exceed the bound)"
+        )
+
+
 def figure1_graph(A: Twig, m: int, n: int) -> DualGraph:
     """The numerically trivial boundary shape, assembled directly.
 
@@ -303,17 +319,7 @@ def figure1_graph(A: Twig, m: int, n: int) -> DualGraph:
     capped by (-n).  A=[2] with (m,n)=(0,2) is the one excluded parameter
     choice (its run would overshoot the contractibility bound).
     """
-    _check_types({"n": n, "m": m, "A": A}, ("n", "m", "A"))
-    if len(A) == 0 or not is_admissible(A):
-        raise InvalidFamilyParams("A must be a nonempty admissible twig")
-    if n < 2:
-        raise InvalidFamilyParams("n >= 2 violated")
-    if m < 0:
-        raise InvalidFamilyParams("m >= 0 violated")
-    if A == (2,) and m == 0 and n == 2:
-        raise InvalidFamilyParams(
-            "A=[2] with (m,n)=(0,2) is excluded (run would exceed the bound)"
-        )
+    _check_figure1(A, m, n)
     t = trivial_threshold(A, n)
     asm = _Assembler()
     center = asm.vertex(-2)
@@ -325,7 +331,9 @@ def figure1_graph(A: Twig, m: int, n: int) -> DualGraph:
 
 
 def figure1_spec(A: Twig, m: int, n: int) -> FamilyInstance:
-    """The family instance a figure1_graph classifies as."""
+    """The family instance a figure1_graph classifies as; it refuses what
+    figure1_graph refuses, with the same message."""
+    _check_figure1(A, m, n)
     t = trivial_threshold(A, n)
     if m == 0:
         return FamilyInstance(family=3, A=tuple(A), n=n, l=t)

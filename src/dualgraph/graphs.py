@@ -18,21 +18,23 @@ The family builders emit this form with their links oriented, so it is only
 sorted, and delete() cuts it only around the deleted vertex and puts the
 pieces back by the re-join the compact edits share (_rejoin); either reruns
 _normalize only when a (-2)-vertex must join a run.  Both take time
-independent of the run lengths.  Every query (weights, membership, size, ==,
-the hash, cuts, neighbours, degrees, edge tests, the passes below) reads only
-the compact form, compressing vertex-level data on first use, and expands no
-run; a run vertex is found by one scan of the links (_run_of), and only an int
-names a vertex.
+independent of the run lengths.  Every query (membership, ==, the hash, cuts,
+neighbours, degrees, edge tests, the passes below) reads only the compact
+form, compressing vertex-level data on first use, and expands no run; a run
+vertex is found by one scan of the links (_run_of), and only an int names a
+vertex.  len() and weights read the vertex-level weights where the graph holds
+them, and so compress nothing.
 
 Vertex-level weights and edges (_edges: a sorted tuple of distinct (u, v),
 u < v) are held only by a graph given them: by DualGraph(), parse_dgn, a
-splice below, or with_mark of one of these.  A graph that holds only the
-compact form expands it on each read of a view (weights, edges, vertex_ids,
-repr) and once per blow-up, and stores nothing (_expand).  The expansion
-reads one walk of the compact form in id order (_id_order), which sorts
-blocks (a core vertex, a vertex of a tuple run, a range run), never the
-vertices of a run; DGN output reads the same walk and expands nothing
-(dgn.serialize_dgn).
+splice below, or with_mark of one of these.  parse_dgn also gives a graph its
+compact form when the text held a block of edges it read in bulk.  A graph
+that holds only the compact form expands it on each read of a view (weights,
+edges, vertex_ids, repr) and once per blow-up, and stores nothing (_expand).
+The expansion reads one walk of the compact form in id order (_id_order),
+which sorts blocks (a core vertex, a vertex of a tuple run, a range run),
+never the vertices of a run; DGN output reads the same walk and expands
+nothing (dgn.serialize_dgn).
 
 Which way an edit goes follows what the graph holds.  A graph that holds only
 the compact form (a family build, a cut, blow_down or contract_all of such a
@@ -234,7 +236,11 @@ class DualGraph:
 
     @property
     def weights(self) -> dict[int, int]:
-        return dict(self._expand()[0])
+        """A new dict of the weights: a copy of those the graph holds, or
+        the expansion of its compact form, which is made afresh."""
+        if self._weights is not None:
+            return dict(self._weights)
+        return self._expand()[0]
 
     def core_links(self) -> dict[int, list[_End]]:
         """Each core vertex's links as (far core end or None, run ids ordered
@@ -289,9 +295,11 @@ class DualGraph:
         return self._size()
 
     def _size(self) -> int:
-        """The vertex count, which len() cannot return past sys.maxsize."""
-        core, links = self._compact()
-        return len(core) + sum(len(ids) for _, _, ids in links)
+        """The vertex count, which len() cannot return past sys.maxsize: read
+        off the weights a graph holds, else off its compact form."""
+        if self._weights is not None:
+            return len(self._weights)
+        return len(self._core) + sum(len(ids) for _, _, ids in self._links)
 
     def __contains__(self, v: int) -> bool:
         if type(v) is not int:

@@ -1,9 +1,9 @@
 """Brute-force oracles, independent of the library's algorithms.
 
 Everything here works on plain list-of-lists integer matrices so that none of
-the package's elimination code is in the loop, except contract_all_rescan,
-blow_down_rebuild, blow_up_rebuild, shape_report_dfs, canonical_form_dfs
-and the Fraction adjunction solve
+the package's elimination code is in the loop, except parse_dgn_lines,
+contract_all_rescan, blow_down_rebuild, blow_up_rebuild, shape_report_dfs,
+canonical_form_dfs and the Fraction adjunction solve
 (solve_forest_fraction and its readers), which read DualGraphs and, on a
 forest, the library's integer tree pass, and fujita_suite_eager, which runs
 the library's twig functions.  The Fraction twig calculus (inductance_fraction,
@@ -184,6 +184,99 @@ def expand_compact(core, links):
         path = [x for x in (a, *ids, b) if x is not None]
         edges.update((min(p), max(p)) for p in zip(path, path[1:]))
     return dict(sorted(weights.items())), tuple(sorted(edges))
+
+
+def parse_dgn_lines(text: str):
+    """parse_dgn by reading every line on its own and leaving compression
+    to the graph's first query: the reference for the library's bulk read
+    of (-2)-run blocks and its compact form built at parse time."""
+    from dualgraph.dgn import _not_int
+    from dualgraph.errors import ParseError
+    from dualgraph.graphs import DualGraph
+
+    weights: dict[int, int] = {}
+    c: int | None = None
+    edges: dict[tuple[int, int], int] = {}  # edge -> its line, in order
+
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
+            continue
+        kind = tokens[0]
+        if kind == "v":
+            if len(tokens) == 3:
+                marked = False
+            elif len(tokens) == 4 and tokens[3] == "C":
+                marked = True
+            else:
+                raise ParseError(line_no, "expected: v <id> <weight> [C]")
+            try:
+                vid = int(tokens[1])
+                weight = int(tokens[2])
+            except ValueError:
+                raise _not_int(
+                    line_no,
+                    (("vertex id", tokens[1]), ("vertex weight", tokens[2])),
+                ) from None
+            if vid in weights:
+                raise ParseError(line_no, f"duplicate vertex id {vid}")
+            weights[vid] = weight
+            if marked:
+                if c is not None:
+                    raise ParseError(
+                        line_no, f"second C mark on vertex {vid} (already on {c})"
+                    )
+                c = vid
+        elif kind == "e":
+            if len(tokens) != 3:
+                raise ParseError(line_no, "expected: e <u> <v>")
+            try:
+                u = int(tokens[1])
+                v = int(tokens[2])
+            except ValueError:
+                raise _not_int(
+                    line_no, (("edge endpoint", tok) for tok in tokens[1:])
+                ) from None
+            if u < v:
+                key = (u, v)
+            elif u > v:
+                key = (v, u)
+            else:
+                raise ParseError(line_no, f"loop edge at vertex {u}")
+            if key in edges:
+                raise ParseError(line_no, f"duplicate edge ({key[0]},{key[1]})")
+            edges[key] = line_no
+        elif kind == "chain":
+            if len(tokens) < 3:
+                raise ParseError(line_no, "expected: chain <first-id> <w1> ...")
+            try:
+                first = int(tokens[1])
+                ws = [int(tok) for tok in tokens[2:]]
+            except ValueError:
+                raise _not_int(
+                    line_no,
+                    [("chain first id", tokens[1])]
+                    + [("chain weight", tok) for tok in tokens[2:]],
+                ) from None
+            for vid, w in enumerate(ws, start=first):
+                if vid in weights:
+                    raise ParseError(line_no, f"duplicate vertex id {vid}")
+                weights[vid] = w
+            for u in range(first, first + len(ws) - 1):
+                if (u, u + 1) in edges:
+                    raise ParseError(line_no, f"duplicate edge ({u},{u + 1})")
+                edges[u, u + 1] = line_no
+        else:
+            raise ParseError(line_no, f"unknown directive {kind!r}")
+
+    for (u, v), line_no in edges.items():
+        if u not in weights or v not in weights:
+            missing = u if u not in weights else v
+            raise ParseError(line_no, f"edge references undeclared vertex {missing}")
+    # every check DualGraph() makes has been made above, with line numbers
+    return DualGraph._make(None, None, weights, tuple(sorted(edges)), c)
 
 
 def contract_all_rescan(g, pick):

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import dualgraph.cli as cli
-from dualgraph import canonical
+from dualgraph import canonical, dgn, graphs
 from dualgraph.dgn import parse_dgn, serialize_dgn
 from dualgraph.errors import InternalDefect
 from dualgraph.families import FamilyInstance, build_family
@@ -190,6 +190,34 @@ def test_graph_ktype_trivial_instance(capsys, tmp_path):
     assert got == {"ktype": "trivial", "pairing": "1"}
 
 
+def test_graph_ktype_reads_a_long_run_in_its_compressed_size(capsys, tmp_path, monkeypatch):
+    """The DGN text of family (3) at l = 10**5 (101,003 vertices) is read in
+    blocks: the parsed graph holds its compact form before any query, and
+    every compression of the call took a few dozen links, not one per edge.
+    The time bound is about 4x this call's time on a 2-core machine."""
+    path = tmp_path / "f3.dgn"
+    path.write_text(family_dgn(family=3, A=(1000,), n=2, l=10**5))
+    links = []
+    for module in (dgn, graphs):
+        def counted(nodes, given, real=module._normalize):
+            links.append(len(given))
+            return real(nodes, given)
+        monkeypatch.setattr(module, "_normalize", counted)
+    held = []
+    def parse(text, real=cli.parse_dgn):
+        g = real(text)
+        held.append(g._core is not None)
+        return g
+    monkeypatch.setattr(cli, "parse_dgn", parse)
+    start = time.perf_counter()
+    code = cli.main(["graph", "ktype", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and json.loads(capsys.readouterr().out)["ktype"] == "canonical-ample"
+    assert held == [True]
+    assert links and sum(links) <= 36, links
+    assert elapsed < 0.6
+
+
 def test_a_library_defect_is_exit_4(capsys, tmp_path, monkeypatch):
     def broken(gD):
         raise InternalDefect("adjunction solve produced negative coefficient at 2")
@@ -272,6 +300,9 @@ def test_family_build_bound_enforcement(capsys):
     assert "l out of range" in err
     got = doc_of(capsys, "family", "build", spec, "--allow-noncontractible")
     assert got["graph"].count("\nv") + 1 == 10  # vertices survive past the bound
+    # the parser is built once per process and keeps no flag between calls
+    assert run_cli(capsys, "family", "build", spec)[0] == 1
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_family_build_writes_the_compact_form_without_expanding_it(capsys, monkeypatch):

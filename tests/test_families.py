@@ -261,8 +261,9 @@ class TestValidation:
         ids=["A-float", "m-float", "n-bool"],
     )
     def test_figure1_parameters_must_be_ints(self, args, field):
-        with pytest.raises(InvalidFamilyParams, match=f"^field {field}"):
-            figure1_graph(*args)
+        for build in (figure1_graph, figure1_spec):
+            with pytest.raises(InvalidFamilyParams, match=f"^field {field}"):
+                build(*args)
 
     @pytest.mark.parametrize(
         "args, message",
@@ -274,12 +275,16 @@ class TestValidation:
             # A is read first, then n, then m
             (((1,), -1, 1), "A must be a nonempty admissible twig"),
             (((3,), -1, 1), "n >= 2 violated"),
+            (((1,), 1, 1), "A must be a nonempty admissible twig"),
+            (([2], 0, 2), "A=[2] with (m,n)=(0,2) is excluded (run would exceed the bound)"),
         ],
     )
     def test_figure1_refusals(self, args, message):
-        with pytest.raises(InvalidFamilyParams) as exc:
-            figure1_graph(*args)
-        assert str(exc.value) == message
+        """figure1_spec refuses what figure1_graph refuses, as it says."""
+        for build in (figure1_graph, figure1_spec):
+            with pytest.raises(InvalidFamilyParams) as exc:
+                build(*args)
+            assert str(exc.value) == message
 
     def test_l_bound_is_enforced_only_when_strict(self):
         s = spec(3, A=(2,), n=2, l=5)  # bound is 4

@@ -662,10 +662,25 @@ def test_edits_follow_how_a_graph_was_made_not_its_views(monkeypatch):
         assert done._weights is None and done == want_done
     monkeypatch.undo()
     given = DualGraph({2: -2, 1: -2, 3: -1}, [(1, 2), (2, 3)], c=1)
-    assert len(given) == 3 and given._core is not None  # compressed by a query
+    assert given.weight(3) == -1 and given._core is not None  # compressed by a query
     for h in (given, given.with_mark(None)):
         assert list(blow_down(h, 3).weights) == [2, 1]
         assert list(contract_all(h).weights) == [2, 1]
+
+
+def test_len_and_weights_read_the_weights_a_graph_holds():
+    """len() and weights of a graph given vertex-level data read that data,
+    compressing nothing; weights is a new dict for either kind of graph, so
+    changing it changes neither."""
+    given = DualGraph({2: -2, 1: -2, 3: -1}, [(1, 2), (2, 3)], c=1)
+    compact = build_family(FamilyInstance(3, A=(2,), n=2, l=4))
+    assert len(given) == 3 and given._core is None
+    for g in (given, compact):
+        w, before = g.weights, dict(g.weights)
+        w[next(iter(w))] = 7
+        w[10**6] = 0
+        assert g.weights == before and 10**6 not in g
+    assert given._weights == {2: -2, 1: -2, 3: -1} and compact._weights is None
 
 
 def test_a_blow_up_expands_its_parent_once_and_views_store_nothing(monkeypatch):
@@ -1504,7 +1519,7 @@ def test_queries_read_only_the_compact_form():
 
     g, twin = unreadable(30), unreadable(30)
     assert {type(ids) for _, _, ids in g._compact()[1] if ids} == {range, tuple}
-    assert len(g) == len(weights) and g == twin and hash(g) == hash(twin)
+    assert g == twin and hash(g) == hash(twin)
     assert g != unreadable(None) and g != unreadable(1).delete(4)
     for v, w in weights.items():
         assert v in g and g.weight(v) == w
@@ -1517,6 +1532,7 @@ def test_queries_read_only_the_compact_form():
         )
         assert g.delete(v) == cut
     compact = DualGraph._make(*g._compact(), None, None, 30)
+    assert len(compact) == len(weights)  # len() of g reads its weights
     # only an int names a vertex: not a float or a bool equal to one
     for v in (99, 30.0, 2.0, 10.0, 7.5, True, 1.0):
         assert v not in g and not g.has_edge(1, v) and not g.has_edge(v, 1)
