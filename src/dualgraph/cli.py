@@ -207,13 +207,12 @@ def _cmd_family_ktype(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    budget = Budget(
-        max_det=args.max_det,
-        max_len=args.max_len,
-        max_n=args.max_n,
-        max_m=args.max_m,
-    )
-    # the report file is opened first, so a bad path fails before any suite
+    caps = {key: getattr(args, key) for key in ("max_det", "max_len", "max_n", "max_m")}
+    for key, cap in caps.items():
+        if cap < 0:
+            raise ParseError(0, f"--{key.replace('_', '-')} must be >= 0, got {cap}")
+    budget = Budget(**caps)
+    # the report file is opened next, so a bad path fails before any suite
     try:
         out = open(args.json_path, "w") if args.json_path else nullcontext()
     except OSError as exc:

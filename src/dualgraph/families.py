@@ -297,12 +297,13 @@ def build_family(spec: FamilyInstance, strict: bool = True) -> DualGraph:
 
 def _check_figure1(A: Twig, m: int, n: int) -> None:
     """Refuse the figure-1 parameters that figure1_graph cannot build: the
-    types, then A, n and m, then the one excluded choice."""
+    types, then n, A and m in validate_family's order, then the one excluded
+    choice."""
     _check_types({"n": n, "m": m, "A": A}, ("n", "m", "A"))
-    if len(A) == 0 or not is_admissible(A):
-        raise InvalidFamilyParams("A must be a nonempty admissible twig")
     if n < 2:
         raise InvalidFamilyParams("n >= 2 violated")
+    if len(A) == 0 or not is_admissible(A):
+        raise InvalidFamilyParams("A must be a nonempty admissible twig")
     if m < 0:
         raise InvalidFamilyParams("m >= 0 violated")
     if tuple(A) == (2,) and m == 0 and n == 2:
@@ -577,7 +578,11 @@ def _read_c_arm(g, a, n, center, spine, ustar_arm, m=None):
 
 
 def classify_family_all(g: DualGraph) -> tuple[list[FamilyInstance], str]:
-    """All family readings of g, plus the recognizer's best failure reason."""
+    """The family reading of g as a list of at most one, plus the
+    recognizer's reason when there is none.  The shape selects one parser;
+    without a branch vertex, family (1) needs C to weigh 0 and (2) needs -1,
+    so at most one of them reads g, and (1)'s reason counts unless it is
+    "unrecognized shape"."""
     if g.c is None:
         return [], "no C-marked vertex"
     if not is_tree(g):
@@ -586,36 +591,23 @@ def classify_family_all(g: DualGraph) -> tuple[list[FamilyInstance], str]:
     branches = sorted(
         v for v, ends in g.core_links().items() if len(ends) >= 3
     )
-    matches: list[FamilyInstance] = []
-    reasons: list[str] = []
-
-    def attempt(parser, *args):
-        spec, reason = parser(g, *args)
-        if spec is not None:
-            matches.append(spec)
-        else:
-            reasons.append(reason)
-
-    if len(branches) == 0:
-        attempt(_parse_family_1)
-        attempt(_parse_family_2)
-    elif len(branches) <= 2:
-        if g.weight(g.c) != -1:
-            reasons.append("C weight not -1")
-        elif len(branches) == 1:
-            attempt(_parse_one_branch, branches[0])
-        else:
-            attempt(_parse_two_branch, branches)
+    if not branches:
+        spec, reason = _parse_family_1(g)
+        if reason == "unrecognized shape":
+            spec, reason = _parse_family_2(g)
+    elif len(branches) > 2:
+        spec, reason = None, "unrecognized shape"
+    elif g.weight(g.c) != -1:
+        spec, reason = None, "C weight not -1"
+    elif len(branches) == 1:
+        spec, reason = _parse_one_branch(g, branches[0])
     else:
-        reasons.append("unrecognized shape")
-    reason = "" if matches else next(
-        (r for r in reasons if r != "unrecognized shape"), "unrecognized shape"
-    )
-    return matches, reason
+        spec, reason = _parse_two_branch(g, branches)
+    return ([spec], "") if spec is not None else ([], reason)
 
 
 def classify_family(g: DualGraph) -> FamilyInstance | NotInList:
-    """The family reading of g (smallest family id), or NotInList."""
+    """The family reading of g, or NotInList."""
     matches, reason = classify_family_all(g)
     if matches:
         return matches[0]

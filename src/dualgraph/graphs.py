@@ -54,9 +54,10 @@ which with_mark copies share, never changes.
 One DFS over the core, once per graph, finds the components (_core_dfs),
 each as its core vertices, its runs and its count of core-to-core links;
 is_forest compares that count with the core size, and the forest pass,
-shape_report and canonical_form all read it.  canonical_form roots each
-component at a center of its core tree and labels each link by its run
-length, so isomorphism is decided in time independent of the run lengths.
+shape_report and canonical_form all read it.  canonical_form codes each
+core tree by one leaf peel, labelling each core vertex as it is peeled and
+each link by its run length and where C sits on it (_tree_code), so
+isomorphism is decided in time independent of the run lengths.
 minus_c() cuts the C-vertex once and keeps the cut graph, with whatever it
 has computed.
 
@@ -1303,68 +1304,61 @@ def shape_report(g: DualGraph) -> ShapeReport:
 # -- isomorphism of weighted marked forests ----------------------------------
 
 
-def _component_centers(inc: dict[int, list[_End]], comp: list[int]) -> list[int]:
-    """The 1 or 2 centers of the core tree comp, by iterative leaf peeling
-    over its core links (inc, as core_links())."""
-    inner = {v: sum(w is not None for w, _ in inc[v]) for v in comp}
-    current = [v for v in comp if inner[v] <= 1]
-    remaining = len(comp)
-    while remaining > 2:
-        remaining -= len(current)
-        nxt = []
-        for v in current:
-            for u, _ in inc[v]:
-                if u is not None:
-                    inner[u] -= 1
-                    if inner[u] == 1:
-                        nxt.append(u)
-        current = nxt
-    return sorted(current)
+def _tree_code(g: DualGraph, comp: list[int]) -> tuple:
+    """The core tree comp of a forest, encoded by one leaf peel (AHU).
 
-
-def _rooted_code(g: DualGraph, root: int) -> tuple:
-    """The core tree of a forest hanging from the core vertex root, encoded
-    level by level (AHU), deepest first.
-
-    A level is the sorted tuple of its core vertices' labels (weight, is C,
-    sorted entries), with one entry per link away from the root: (run
-    length, index of C on the run counted from this end or -1, rank of the
-    child's label or -1 for a pendant run).  A rank is the index of a label
-    among the distinct labels of its level.  Two rooted trees have equal
+    Round by round, the core vertices with at most one link to a core vertex
+    not yet peeled are peeled and labelled (weight, is C, sorted entries),
+    with one entry per link to a pendant run or to a vertex peeled before:
+    (run length, index of C on the run counted from this end or -1, that
+    vertex's rank or -1).  Ranks number the distinct labels round by round,
+    each round's sorted; a label fixes its subtree and so its height, so
+    equal labels share a round.  The code is (rounds, link): each round's
+    sorted labels, the 1 or 2 centers' last, and for two centers the (run
+    length, C index) of the link between them, read from the end with the
+    smaller label, or the smaller index on a tie.  Two trees have equal
     codes iff they are isomorphic, and the tuples nest to a fixed depth
     however deep the tree is.
     """
     core = g._compact()[0]
     inc = g.core_links()
     c = None if g.c in core else g.c  # C on a run, or None
-    # a level holds (v, the core vertex v is reached from); the root counts
-    # as reached from itself, so all of its links lead away
-    levels = [[(root, root)]]
-    while levels[-1]:
-        levels.append([
-            (w, u) for u, up in levels[-1] for w, _ in inc[u]
-            if w is not None and w != up
-        ])
-    rank: dict[int | None, int] = {None: -1}  # a pendant run has no child
-    code = []
-    for level in reversed(levels[:-1]):
-        labels = []
-        for v, up in level:
-            entries = [
+    inner = {v: sum(w is not None for w, _ in inc[v]) for v in comp}
+    current = [v for v in comp if inner[v] <= 1]
+    rank: dict[int | None, int] = {None: -1}  # a pendant run has no far end
+    label_rank: dict[tuple, int] = {}
+    rounds = []
+    while current:
+        labels = [
+            (core[v], v == g.c, tuple(sorted(
                 (len(ids), ids.index(c) if c is not None and c in ids else -1, rank[w])
                 for w, ids in inc[v]
-                if w != up
-            ]
-            entries.sort()
-            labels.append((core[v], v == g.c, tuple(entries)))
-        ordered = sorted(labels)
-        distinct: dict[tuple, int] = {}
+                if w in rank
+            )))
+            for v in current
+        ]
+        ordered = tuple(sorted(labels))
         for lab in ordered:
-            distinct.setdefault(lab, len(distinct))
-        for (v, _), lab in zip(level, labels):
-            rank[v] = distinct[lab]
-        code.append(tuple(ordered))
-    return tuple(code)
+            label_rank.setdefault(lab, len(label_rank))
+        for v, lab in zip(current, labels):
+            rank[v] = label_rank[lab]
+        rounds.append(ordered)
+        peeled, current = current, []
+        for v in peeled:
+            for w, _ in inc[v]:
+                if w not in rank:
+                    inner[w] -= 1
+                    if inner[w] == 1:
+                        current.append(w)
+    link = ()
+    if len(peeled) == 2:  # the last round peeled the centers
+        u, v = sorted(peeled, key=rank.__getitem__)
+        ids = next(ids for w, ids in inc[u] if w == v)
+        k = ids.index(c) if c is not None and c in ids else -1
+        if rank[u] == rank[v] and k >= 0:
+            k = min(k, len(ids) - 1 - k)
+        link = (len(ids), k)
+    return tuple(rounds), link
 
 
 def canonical_form(g: DualGraph) -> tuple:
@@ -1372,23 +1366,17 @@ def canonical_form(g: DualGraph) -> tuple:
 
     Two forests are isomorphic (respecting weights and the C mark) iff their
     canonical forms are equal.  Raises DomainError on graphs with cycles.
-    Any isomorphism maps core to core, so a component with core is rooted
-    at a center of its core tree.  Of two centers it takes the one with the
-    smaller (weight, is C, link count), and on a tie the smaller code.  A
-    core-free (-2)-chain is its length and the distance from C to its nearer
-    end (-1 without C).  The cost is independent of the run lengths.
+    Any isomorphism maps core to core, so a component with core is its core
+    tree's code (_tree_code).  A core-free (-2)-chain is its length and the
+    distance from C to its nearer end (-1 without C).  The cost is
+    independent of the run lengths.
     """
     if not is_forest(g):
         raise DomainError("canonical form is only defined for forests")
-    core = g._compact()[0]
-    inc = g.core_links()
     trees, chains = [], []
     for comp in _core_components(g):
         if comp.core:
-            centers = _component_centers(inc, comp.core)
-            key = {r: (core[r], r == g.c, len(inc[r])) for r in centers}
-            least = min(key.values())
-            trees.append(min(_rooted_code(g, r) for r in centers if key[r] == least))
+            trees.append(_tree_code(g, comp.core))
         else:
             (ids,) = comp.runs
             k = ids.index(g.c) if g.c is not None and g.c in ids else -1

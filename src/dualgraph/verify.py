@@ -255,18 +255,15 @@ def _run_lengths(bound: int, thresholds: tuple[int, ...]) -> list[int]:
     return sorted(v for v in vals if 0 <= v <= bound)
 
 
-def _is_figure_shape(spec: FamilyInstance) -> bool:
-    t = trivial_threshold(spec.A, spec.n)
-    if spec.family == 3:
-        return spec.l == t
-    if spec.family == 4:
-        return len(spec.b) == 1 and spec.l == t - 1
-    return False
-
-
-def _figure_params(spec: FamilyInstance) -> tuple[Twig, int, int]:
-    m = 0 if spec.family == 3 else spec.b[0] - 2
-    return spec.A, m, spec.n
+def _figure(spec: FamilyInstance) -> tuple[Twig, int, int] | None:
+    """(A, m, n) of the figure graph when spec has the figure shape: family
+    (3) at l = t, or (4) with b = (m + 2,) at l = t - 1; else None."""
+    if spec.family == 3 and spec.l == trivial_threshold(spec.A, spec.n):
+        return spec.A, 0, spec.n
+    if spec.family == 4 and len(spec.b) == 1:
+        if spec.l == trivial_threshold(spec.A, spec.n) - 1:
+            return spec.A, spec.b[0] - 2, spec.n
+    return None
 
 
 def verify_trichotomy_suite(
@@ -318,18 +315,17 @@ def verify_trichotomy_suite(
             "predicted-matches-computed",
             lambda: f"computed {kt.value}, pairing {pairing}",
         )
-        figure = _is_figure_shape(spec)
+        figure = _figure(spec)
         run.check(
-            (kt is KType.NUMERICALLY_TRIVIAL) == figure,
+            (kt is KType.NUMERICALLY_TRIVIAL) == (figure is not None),
             "trivial-iff-figure-shape",
             lambda: f"computed {kt.value}",
         )
         if kt is KType.NUMERICALLY_TRIVIAL:
             run.check(pairing == 1, "trivial-pairing-one", lambda: str(pairing))
-            if figure:
-                fa, fm, fn = _figure_params(spec)
+            if figure is not None:
                 run.check(
-                    isomorphic(g, figure1_graph(fa, fm, fn)),
+                    isomorphic(g, figure1_graph(*figure)),
                     "trivial-matches-figure-graph",
                 )
     return run.report()

@@ -410,6 +410,25 @@ def test_verify_unwritable_json_path_is_exit_2_before_any_suite(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option", ["--max-det", "--max-len", "--max-n", "--max-m"])
+def test_verify_negative_budget_cap_is_exit_2_before_the_report_file(
+    capsys, monkeypatch, tmp_path, option
+):
+    def refuse(*args):
+        raise AssertionError("a suite ran with a negative cap")
+
+    monkeypatch.setattr(cli, "verify_all", refuse)
+    monkeypatch.setattr(cli, "verify_suite", refuse)
+    path = tmp_path / "report.json"
+    for suite in ("all", "contraction"):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, option, "-1", "--json", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: line 0: {option} must be >= 0, got -1\n"
+        assert not path.exists()
+
+
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "everything"])

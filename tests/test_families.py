@@ -272,16 +272,24 @@ class TestValidation:
             (((2, 1), 0, 2), "A must be a nonempty admissible twig"),
             (((3,), 0, 1), "n >= 2 violated"),
             (((3,), -1, 2), "m >= 0 violated"),
-            # A is read first, then n, then m
-            (((1,), -1, 1), "A must be a nonempty admissible twig"),
+            # n is read first, then A, then m, as validate_family reads them
+            (((1,), -1, 1), "n >= 2 violated"),
             (((3,), -1, 1), "n >= 2 violated"),
-            (((1,), 1, 1), "A must be a nonempty admissible twig"),
+            (((1,), 1, 1), "n >= 2 violated"),
             (([2], 0, 2), "A=[2] with (m,n)=(0,2) is excluded (run would exceed the bound)"),
+            # A before m
+            (((1,), -1, 2), "A must be a nonempty admissible twig"),
         ],
     )
     def test_figure1_refusals(self, args, message):
-        """figure1_spec refuses what figure1_graph refuses, as it says."""
-        for build in (figure1_graph, figure1_spec):
+        """figure1_spec refuses what figure1_graph refuses, as it says, and
+        as validate_family says of the family (4) spec for m > 0."""
+        a, m, n = args
+        builds = [figure1_graph, figure1_spec]
+        if m > 0:
+            spec4 = FamilyInstance(family=4, A=tuple(a), n=n, l=0, b=(m + 2,))
+            builds.append(lambda *_: validate_family(spec4))
+        for build in builds:
             with pytest.raises(InvalidFamilyParams) as exc:
                 build(*args)
             assert str(exc.value) == message

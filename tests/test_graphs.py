@@ -438,10 +438,21 @@ def test_a_core_free_minus_two_cycle_is_singular():
     assert graph_d(ring) == dense_det(graph_neg_matrix(ring)) == 0
 
 
-def _line_hits(func, marker, call):
-    """Call call() and count how often func runs its line holding marker."""
+def _line_of(func, marker):
+    """The number of func's source line holding marker."""
     lines, start = inspect.getsourcelines(func)
-    target = start + next(i for i, line in enumerate(lines) if marker in line)
+    return start + next(i for i, line in enumerate(lines) if marker in line)
+
+
+# the traced lines, resolved once when this module is imported, so that a
+# source file edited while the suite runs cannot move them off the loaded code
+_ROW_SWAP = _line_of(graphs._bareiss, "sign, symmetric = -sign")
+_LOOP_CUT = _line_of(graphs._blow_down_compact, "b, ids = ids[-1]")
+_LOOP_EAT = _line_of(graphs._contract_compact, "far, rest = rest[-1]")
+
+
+def _line_hits(func, target, call):
+    """Call call() and count how often func runs its line number target."""
     hits = []
 
     def local(frame, event, arg):
@@ -483,8 +494,7 @@ def test_a_zero_diagonal_everywhere_takes_the_row_swap(g):
     want = dense_det(graph_neg_matrix(flat))
     assert want != 0
     fresh = DualGraph._from_parts(*g._compact(), None)
-    swap = "sign, symmetric = -sign"
-    assert _line_hits(graphs._bareiss, swap, lambda: graph_d(fresh)) == 1
+    assert _line_hits(graphs._bareiss, _ROW_SWAP, lambda: graph_d(fresh)) == 1
     assert graph_d(fresh) == graph_d(flat) == want
     assert not is_negative_definite(fresh)
 
@@ -807,13 +817,13 @@ def test_compact_edits_of_a_minus_one_vertex_alone_on_a_cycle(k):
     assert g._weights is None and twin._weights is not None
     # the branch runs once per run end next to the vertex blown down: the
     # blow-down cuts the loop as one link, the contraction meets both ends
-    for edit, func, marker, times in (
-        (lambda h: blow_down(h, 0), graphs._blow_down_compact, "b, ids = ids[-1]", 1),
-        (contract_all, graphs._contract_compact, "far, rest = rest[-1]", 2),
+    for edit, func, line, times in (
+        (lambda h: blow_down(h, 0), graphs._blow_down_compact, _LOOP_CUT, 1),
+        (contract_all, graphs._contract_compact, _LOOP_EAT, 2),
     ):
-        assert _line_hits(func, marker, lambda: _outcome(edit, twin)) == 0
+        assert _line_hits(func, line, lambda: _outcome(edit, twin)) == 0
         hits = []
-        assert _line_hits(func, marker, lambda: hits.append(_outcome(edit, g))) == times
+        assert _line_hits(func, line, lambda: hits.append(_outcome(edit, g))) == times
         (got,), want = hits, _outcome(edit, twin)
         if not isinstance(want, DualGraph):
             assert got == want
@@ -1231,6 +1241,20 @@ def _perturbed(weights, edges, c, edit):
     0,
     (True, 1, 1),
 )
+# C on the link between two centers with equal labels, moved one step: to
+# k + 1 on a run of 5, and to the mirror position len - 1 - k on a run of 4
+@example(
+    ({0: -4, 1: -3, 2: -2, 3: -2, 4: -2, 5: -2, 6: -2, 7: -3, 8: -4},
+     [(i, i + 1) for i in range(8)], 3),
+    0,
+    (True, 1, 1),
+)
+@example(
+    ({0: -4, 1: -3, 2: -2, 3: -2, 4: -2, 5: -2, 6: -3, 7: -4},
+     [(i, i + 1) for i in range(7)], 3),
+    0,
+    (True, 1, 1),
+)
 # an off-center C on a core-free chain, moved to its mirror position
 @example(({0: -2, 1: -2, 2: -2, 3: -2}, [(0, 1), (1, 2), (2, 3)], 1), 0, (True, 1, 1))
 # an isolated (-2)-vertex carrying C, beside a core-free chain
@@ -1343,6 +1367,27 @@ def test_isomorphic_forests():
 def test_two_center_paths():
     assert isomorphic(chain_graph([-2, -3, -3, -2]), chain_graph([-2, -3, -3, -2], first_id=9))
     assert not isomorphic(chain_graph([-2, -3, -3, -4]), chain_graph([-2, -3, -3, -2]))
+
+
+def test_canonical_form_codes_each_core_tree_once(monkeypatch):
+    calls = []
+    code = graphs._tree_code
+
+    def counted(g, comp):
+        calls.append(sorted(comp))
+        return code(g, comp)
+
+    monkeypatch.setattr(graphs, "_tree_code", counted)
+    # a two-center path with equal center labels and C on the run between
+    # them, a star, a lone core vertex and a core-free chain
+    weights = {
+        1: -4, 2: -3, 3: -2, 4: -2, 5: -3, 6: -4,
+        10: -2, 11: -3, 12: -5, 13: -6, 20: -7, 30: -2, 31: -2,
+    }
+    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (10, 11), (10, 12), (10, 13),
+             (30, 31)]
+    canonical_form(DualGraph(weights, edges, c=3))
+    assert sorted(calls) == [[1, 2, 5, 6], [10, 11, 12, 13], [20]]
 
 
 def test_isomorphic_on_a_deep_tree():
