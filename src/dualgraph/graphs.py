@@ -26,24 +26,27 @@ vertex.  len() and weights read the vertex-level weights where the graph holds
 them, and so compress nothing.
 
 Vertex-level weights and edges (_edges: a sorted tuple of distinct (u, v),
-u < v) are held only by a graph given them: by DualGraph(), parse_dgn, a
-splice below, or with_mark of one of these.  parse_dgn also gives a graph its
-compact form when the text held a block of edges it read in bulk.  A graph
-that holds only the compact form expands it on each read of a view (weights,
-edges, vertex_ids, repr) and once per blow-up, and stores nothing (_expand).
-The expansion reads one walk of the compact form in id order (_id_order),
-which sorts blocks (a core vertex, a vertex of a tuple run, a range run),
-never the vertices of a run; DGN output reads the same walk and expands
-nothing (dgn.serialize_dgn).
+u < v) are held only by a graph given them: by DualGraph(), a splice below,
+parse_dgn of a text whose ids do not ascend or that has no block of edges it
+read in bulk, or with_mark of one of these.  parse_dgn of a text with such a
+block gives the graph its compact form at once, and when the text's ids
+ascend (as serialize_dgn writes them) only that form, whose weights expand in
+id order, which is the text's line order.  A graph that holds only the
+compact form expands it on each read of a view (weights, edges, vertex_ids,
+repr) and once per blow-up, and stores nothing (_expand); a view builds only
+what it returns.  The expansion reads one walk of the compact form in id
+order (_id_order), which sorts blocks (a core vertex, a vertex of a tuple
+run, a range run), never the vertices of a run; DGN output reads the same
+walk and expands nothing (dgn.serialize_dgn).
 
 Which way an edit goes follows what the graph holds.  A graph that holds only
-the compact form (a family build, a cut, blow_down or contract_all of such a
-graph, and their with_mark copies) is blown down and contracted on it:
-blow_down cuts it around the vertex and re-joins it by delete()'s _rejoin, and
-contract_all reads its neighbours off core_links() and eats a run in closed
-form, so both take time independent of the run lengths and return a graph that
-holds only the compact form, whose weights expand in id order as the parent's
-do.  A graph given vertex-level data keeps the order its weights were given
+the compact form (a family build, a parsed canonical text, a cut, blow_down or
+contract_all of such a graph, and their with_mark copies) is blown down and
+contracted on it: blow_down cuts it around the vertex and re-joins it by
+delete()'s _rejoin, and contract_all reads its neighbours off core_links() and
+eats a run in closed form, so both take time independent of the run lengths
+and return a graph that holds only the compact form, whose weights expand in
+id order as the parent's do.  A graph given vertex-level data keeps the order its weights were given
 in, which the compact form does not record, so its edits splice that data,
 even once a query has compressed it, as the blow-ups do on every graph (a
 blow-up's new vertex comes last in its weights).  A splice copies the parent's
@@ -191,38 +194,49 @@ class DualGraph:
             self._core, self._links = _normalize(self._weights, links)
         return self._core, self._links
 
-    def _expand(self) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
+    def _expand(self, part: str | None = None):
         """Vertex-level weights and sorted edges: those the graph was given,
         weights in the order given, else read off the compact form's walk in
-        id order (_id_order), weights in id order.  An expansion is made on
-        every call and not stored, so callers must not change the result."""
+        id order (_id_order), weights in id order.  On a graph that holds
+        only the compact form, part "weights", "edges" or "ids" builds that
+        view alone: the weights, the sorted edges or the sorted ids.  An
+        expansion is made on every call and not stored, so callers must not
+        change the result."""
         if self._weights is not None:
             return self._weights, self._edges
         core = self._core
         vertices, edges = _id_order(core, self._links)
+        if part == "ids":
+            return tuple(chain.from_iterable((v,) if ids is None else ids for v, ids in vertices))
         weights: dict[int, int] = {}
-        for v, ids in vertices:
+        for v, ids in vertices if part != "edges" else ():
             if ids is None:
                 weights[v] = core.get(v, -2)
             else:
                 weights.update(dict.fromkeys(ids, -2))
+        if part == "weights":
+            return weights
         pairs: list[tuple[int, int]] = []
         for u, v, ids in edges:
             if ids is None:
                 pairs.append((u, v))
             else:
                 pairs += zip(ids, ids[1:])
-        return weights, tuple(pairs)
+        return tuple(pairs) if part == "edges" else (weights, tuple(pairs))
 
     # -- basic accessors -------------------------------------------------
 
     @property
     def vertex_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._expand()[0]))
+        if self._weights is not None:
+            return tuple(sorted(self._weights))
+        return self._expand("ids")
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._expand()[1]
+        if self._edges is not None:
+            return self._edges
+        return self._expand("edges")
 
     @property
     def c(self) -> int | None:
@@ -241,7 +255,7 @@ class DualGraph:
         the expansion of its compact form, which is made afresh."""
         if self._weights is not None:
             return dict(self._weights)
-        return self._expand()[0]
+        return self._expand("weights")
 
     def core_links(self) -> dict[int, list[_End]]:
         """Each core vertex's links as (far core end or None, run ids ordered

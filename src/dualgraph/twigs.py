@@ -129,7 +129,8 @@ def adjoint(weights: Iterable[int]) -> Twig:
     return _expand(d, d - twig_determinant(t[:-1]))
 
 
-_ITEM_RE = re.compile(r"^(?:(\d+)\*)?(\d+)$")
+# entries in ASCII digits only: \d and int() would take "٣" too
+_ITEM_RE = re.compile(r"(?:([0-9]+)\*)?([0-9]+)")
 
 
 def parse_twig(text: str) -> Twig:
@@ -147,7 +148,7 @@ def parse_twig(text: str) -> Twig:
         return ()
     items: list[tuple[int, int]] = []
     for item in body.split(","):
-        m = _ITEM_RE.match(item.replace(" ", ""))
+        m = _ITEM_RE.fullmatch(item.replace(" ", ""))
         if not m:
             raise ParseError(1, f"bad twig entry {item.strip()!r}")
         try:

@@ -306,7 +306,7 @@ def test_family_build_bound_enforcement(capsys):
 
 
 def test_family_build_writes_the_compact_form_without_expanding_it(capsys, monkeypatch):
-    def refused(self):
+    def refused(self, *part):
         raise AssertionError("a run was expanded")
 
     monkeypatch.setattr(DualGraph, "_expand", refused)

@@ -166,7 +166,7 @@ class TestBuilders:
         bound = l_bound((1000,), 2)
         assert bound == 1_998_998
 
-        def refuse(self):
+        def refuse(self, *part):
             raise AssertionError("vertex-level views were expanded")
 
         monkeypatch.setattr(DualGraph, "_expand", refuse)
@@ -180,7 +180,7 @@ class TestBuilders:
         bound = l_bound((1000,), 2)
         t = trivial_threshold((1000,), 2)
 
-        def refuse(self):
+        def refuse(self, *part):
             raise AssertionError("vertex-level views were expanded")
 
         monkeypatch.setattr(DualGraph, "_expand", refuse)

@@ -630,7 +630,7 @@ def test_edits_of_vertex_level_data_never_compress(monkeypatch):
 
 
 def test_edits_of_compact_only_graphs_never_expand(monkeypatch):
-    def refused(self):
+    def refused(self, *part):
         raise AssertionError("an edit expanded a run")
 
     monkeypatch.setattr(DualGraph, "_expand", refused)
@@ -662,7 +662,7 @@ def test_edits_follow_how_a_graph_was_made_not_its_views(monkeypatch):
     fresh = build_family(spec)
     want_down, want_done = blow_down(fresh, g.c), contract_all(fresh)
 
-    def refused(self):
+    def refused(self, *part):
         raise AssertionError("an edit spliced vertex-level data")
 
     monkeypatch.setattr(DualGraph, "_expand", refused)
@@ -701,9 +701,9 @@ def test_a_blow_up_expands_its_parent_once_and_views_store_nothing(monkeypatch):
     u, v = g.edges[-1]
     expand, calls = DualGraph._expand, []
 
-    def counted(self):
+    def counted(self, *part):
         calls.append(self)
-        return expand(self)
+        return expand(self, *part)
 
     monkeypatch.setattr(DualGraph, "_expand", counted)
     for edit, error in (
@@ -722,15 +722,36 @@ def test_a_blow_up_expands_its_parent_once_and_views_store_nothing(monkeypatch):
     assert g._weights is None and g._edges is None
 
 
+class _IdsOnly(dict):
+    """A core whose ids may be read but not its weights."""
+
+    def get(self, *args):
+        raise AssertionError("a weight was read")
+
+    __getitem__ = get
+
+
+def test_edges_and_vertex_ids_of_a_compact_graph_read_no_weight():
+    """edges and vertex_ids of a graph that holds only the compact form walk
+    it in id order without building the weights."""
+    g = build_family(FamilyInstance(3, A=(1000,), n=2, l=10**4))
+    weights, edges = g._expand()
+    h = DualGraph._make(_IdsOnly(g._core), g._links, None, None, g.c)
+    assert h.edges == edges and type(h.edges) is tuple
+    assert h.vertex_ids == tuple(sorted(weights)) == tuple(weights)
+    assert g.weights == weights and h._weights is None
+
+
 @pytest.mark.parametrize("family, fields", [
     (3, {}), (4, {"b": (3,)}), (5, {"b": (3,), "m": 5}),
 ])
 def test_the_splice_and_the_compact_edits_agree_at_scale(family, fields):
-    """contract_all and blow_down of a family graph read back from DGN (the
-    splice) and of the graph itself (the compact form) write the same DGN."""
+    """contract_all and blow_down of a family graph given vertex by vertex
+    (the splice) and of the graph itself (the compact form) write the same
+    DGN."""
     for l in (0, 10, 1000, 10**4):
         g = build_family(FamilyInstance(family, A=(1000,), n=2, l=l, **fields))
-        given = parse_dgn(serialize_dgn(g))
+        given = DualGraph(g.weights, g.edges, g.c)
         assert given._weights is not None and g._weights is None
         for edit in (contract_all, lambda h: blow_down(h, g.c)):
             assert serialize_dgn(edit(given)) == serialize_dgn(edit(g))
@@ -1626,7 +1647,7 @@ def test_equal_graphs_given_in_any_order_hash_equal(h, rnd):
     ids=["family 3 at l_bound", "family 5 at maxsize"],
 )
 def test_hash_and_equality_never_expand_a_run(monkeypatch, spec):
-    def refused(self):
+    def refused(self, *part):
         raise AssertionError("a run was expanded")
 
     monkeypatch.setattr(DualGraph, "_expand", refused)

@@ -210,6 +210,18 @@ def test_parse_twig_errors():
             parse_twig(bad)
 
 
+@pytest.mark.parametrize("entry", [
+    "\u0663", "2*\u0663", "\u0663*2", "\uff12", "1_0", "+2", "2*+3", "3\n", "\u00b2",
+])
+def test_parse_twig_entries_are_ascii_digits(entry):
+    """An entry is [count*]weight, both spelled [0-9]+ in ASCII, though int()
+    and a regex digit class take more."""
+    with pytest.raises(ParseError) as exc:
+        parse_twig(f"[2,{entry},3]")
+    assert exc.value.line == 1
+    assert exc.value.message == f"bad twig entry {entry.strip()!r}"
+
+
 def test_parse_twig_caps_the_expanded_length():
     # the cap is checked on the counts, before any entry is built, so a
     # billion-entry twig fails at once
