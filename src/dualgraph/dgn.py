@@ -7,39 +7,41 @@ Line oriented; `#` starts a comment anywhere on a line.  Directives:
     chain <first-id> <w1> <w2> ...
                              declare a path of fresh consecutive ids
 
-Every id and weight is spelled in ASCII as -?[0-9]+; whatever else int()
-would take ("1_0", "+5", "٣") is refused as not an integer.
+A line ends only at "\n", and one "\r" before it is dropped.  Tokens are
+separated only by ASCII spaces and tabs: any other break or space stays
+inside its token, and the line is refused.  Every id and weight is spelled
+in ASCII as -?[0-9]+; whatever else int() would take ("1_0", "+5", "٣") is
+refused as not an integer.
 
 serialize_dgn writes a canonical form (sorted `v` lines, then sorted `e`
 lines) that parse_dgn maps back to an equal graph; serializing a parsed
 canonical document reproduces it byte for byte.  serialize_dgn reads the
 compact form when the graph holds it (a family build, a cut, an edit of one,
-a parsed canonical text, or a graph that a query has compressed), walking
+a text parsed with a block, or a graph that a query has compressed), walking
 its runs in id order, so the text of a run is one string over its ids and
 nothing is sorted per vertex.
 
 A range run has one spelling, which the writer and the reader share
 (_run_text): `v i -2` or `e i i+1` for consecutive i.  parse_dgn reads a
-block of lines so spelled in one step (_block) and keeps it as a span of
-ids, never as one entry per vertex or edge; every other line is read on
-its own into the loose-line dicts.  While the declared ids ascend no id can
-repeat, so a `v` block needs no check; an `e` block is cut before the first
-edge that an earlier span or loose line holds, and the loop then refuses
-that line, so every ParseError keeps its line and message.  Undeclared
-endpoints are found by span coverage after the last line.
+block of lines so spelled in one step (_block) and keeps it as a span, from
+the line whose probe found it, never as one entry per vertex or edge; every
+other line is read on its own into the loose-line dicts.  One rule refuses a
+repeated id and a repeated edge: a loose line or a span holds it (_span_at
+for one id or edge, _fresh for a block or a chain line).  A block is cut
+before the first id or edge held already, and the loop then refuses that
+line, so every ParseError keeps its line and message.  Undeclared endpoints
+are found by span coverage after the last line.
 
-Who holds vertex-level data: a text with an `e` block whose ids ascend (as
-serialize_dgn, `family build` and the benchmark write them) gives a graph
-holding only its compact form, built from the spans (_compress), whose
-weights expand in id order, which is line order.  At the first `v` or
-`chain` id that does not ascend, the spans read so far are folded into the
-loose-line dicts in id order (_fold), and the text keeps vertex-level data
-in line order, as a text without an `e` block does; the first is also given
-its compact form at once, and the second is compressed by its first query.
+Who holds vertex-level data: a text with no block read in bulk gives a graph
+holding its weights, in line order, and its edges, which its first query
+compresses.  A text with a block (every text serialize_dgn or `family build`
+writes) gives a graph holding only its compact form, built from the loose
+lines and the spans (_compress), whose weights expand in id order.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right, insort
 from itertools import chain, islice, repeat
 from operator import eq, itemgetter
@@ -70,6 +72,10 @@ def _not_int(line_no: int, named: Iterable[tuple[str, str]]) -> ParseError:
     raise AssertionError("every token is an integer")
 
 
+# ASCII that str.splitlines, str.split or int() read unlike DGN
+_ODD = "\x0b\x0c\x1c\x1d\x1e\x1f_+"
+_token = re.compile(r"[^ \t]+").findall
+
 # A block is looked for only after a line whose id is a multiple of _STEP and
 # when the line _STEP past the next one spells the run too: every run of more
 # than 2 * _STEP lines has such a place, and shorter ones cost less line by line.
@@ -89,10 +95,15 @@ def _run_text(kind: str, first: int, stop: int) -> str:
 def _block(lines: list[str], at: int, kind: str, first: int) -> int:
     """How many lines from lines[at] (which exists) spell the run from the
     id first.  Chunks of doubling size are compared with _run_text as one
-    string each, and the first wrong line of the chunk that fails ends the
-    block."""
+    string each, a chunk first halved until its last line spells the run,
+    so that none is formatted far past the run's end; the first wrong line
+    of a chunk that fails ends the block."""
     n, step = 0, 1
     while step:
+        while step > 1 and lines[at + n + step - 1] != _run_text(
+            kind, first + n + step - 1, first + n + step
+        ):
+            step //= 2
         got = lines[at + n : at + n + step]
         want = _run_text(kind, first + n, first + n + step)
         if "\n".join(got) != want:
@@ -102,9 +113,9 @@ def _block(lines: list[str], at: int, kind: str, first: int) -> int:
     return n
 
 
-# A span (start, stop, ...) stands for the ids start <= i < stop of a v block,
-# or for the edges (i, i + 1) of an e block, the first of them on the line
-# that follows start; spans are kept sorted and disjoint.
+# A span (start, stop) stands for the ids start <= i < stop of a v block, and
+# (start, stop, line) for the edges (i, i + 1) of an e block, the first of
+# them on the line given; spans of a kind are kept sorted and disjoint.
 _start = itemgetter(0)
 
 
@@ -114,33 +125,19 @@ def _span_at(spans, i: int):
     return spans[k - 1] if k and i < spans[k - 1][1] else None
 
 
-def _fresh(edges: dict, spans: list, first: int, stop: int) -> int:
-    """stop, or the first i, first <= i < stop, whose edge (i, i + 1) an
-    e span or a loose line already holds; the loose lines are scanned when
-    they are fewer than the ids."""
-    k = bisect_left(spans, first, key=_start)
+def _fresh(loose: dict, spans: list, first: int, stop: int, edges: bool = False) -> int:
+    """stop, or the first i, first <= i < stop, that a span or a loose line
+    already holds: the id i, or with edges the edge (i, i + 1).  The loose
+    lines are scanned when they are fewer than the ids."""
+    k = bisect_right(spans, first, key=_start)
+    if k and first < spans[k - 1][1]:
+        return first
     if k < len(spans):
         stop = min(stop, spans[k][0])
-    if len(edges) < stop - first:
-        return min((a for a, b in edges if b == a + 1 and first <= a < stop), default=stop)
-    return next((a for a in range(first, stop) if (a, a + 1) in edges), stop)
-
-
-def _fold(weights: dict[int, int], spans) -> dict[int, int]:
-    """weights with the (-2)-ids of the v spans put in, in id order, where
-    the keys of weights ascend and no span holds one."""
-    if not spans:
-        return weights
-    items = list(weights.items())
-    out: dict[int, int] = {}
-    at = 0
-    for start, stop in spans:
-        k = bisect_left(items, start, lo=at, key=_start)
-        out.update(items[at:k])
-        out.update(zip(range(start, stop), repeat(-2)))
-        at = k
-    out.update(items[at:])
-    return out
+    if len(loose) < stop - first:
+        held = (a for a, b in loose if b == a + 1) if edges else loose
+        return min((i for i in held if first <= i < stop), default=stop)
+    return next((i for i in range(first, stop) if ((i, i + 1) if edges else i) in loose), stop)
 
 
 def _undeclared(weights: dict, vspans, lo: int, hi: int) -> int | None:
@@ -177,14 +174,12 @@ def _outside(spans, holes) -> list[tuple[int, int]]:
 
 
 def _compress(weights: dict[int, int], vspans, edges: dict, espans) -> tuple:
-    """The compact form of a parsed graph: the loose weights and v spans,
-    the loose edges and the e spans.  Each stretch of an e span whose inner
-    ids weigh -2 and meet no loose edge is one link to _normalize, any other
-    edge a link alone, sorted by their ends as DualGraph._compact's are; the
-    nodes are the ids no stretch holds inside, in line order, so that the
-    core comes out in the same order.  The keys of weights ascend wherever
-    vspans is not empty."""
-    keys = sorted(weights)  # linear where they ascend
+    """The compact form of a parsed graph with a block, from its loose lines
+    and spans.  Each stretch of an e span whose inner ids weigh -2 and meet
+    no loose edge is one link to _normalize, any other edge a link alone,
+    sorted by their ends as DualGraph._compact's are; the nodes are the ids
+    no stretch holds inside, in id order whatever the order of the lines."""
+    keys = sorted(weights)
     ends = sorted(set(chain.from_iterable(edges)))
     links = [(u, v, ()) for u, v in edges]
     holes = []
@@ -200,8 +195,9 @@ def _compress(weights: dict[int, int], vspans, edges: dict, espans) -> tuple:
                 holes.append((x + 1, y))
     links.sort(key=lambda link: link[:2])
     inside = {v for lo, hi in holes for v in keys[bisect_left(keys, lo) : bisect_left(keys, hi)]}
-    loose = {v: w for v, w in weights.items() if v not in inside} if inside else weights
-    return _normalize(_fold(loose, _outside(vspans, holes)), links)
+    nodes = {v: w for v, w in weights.items() if v not in inside}
+    nodes.update(chain.from_iterable(zip(range(*p), repeat(-2)) for p in _outside(vspans, holes)))
+    return _normalize(dict(sorted(nodes.items())), links)
 
 
 def parse_dgn(text: str) -> DualGraph:
@@ -209,22 +205,25 @@ def parse_dgn(text: str) -> DualGraph:
     its line.  See the module docstring for blocks, spans and who holds
     vertex-level data."""
     weights: dict[int, int] = {}  # loose v and chain lines, in line order
-    vspans: list[tuple[int, int]] | None = []  # None once folded into weights
-    top = float("-inf")  # the largest id declared so far
     c: int | None = None
     edges: dict[tuple[int, int], int] = {}  # loose edge -> its line, in order
+    vspans: list[tuple[int, int]] = []  # (first id, stop)
     espans: list[tuple[int, int, int]] = []  # (first u, stop, first line)
-    # a text in ASCII without "_" or "+" (in its comments too) spells every
-    # integer as int() reads it; any other is read token by token
-    to_int = int if text.isascii() and "_" not in text and "+" not in text else _ascii_int
+    # an ASCII text with no character of _ODD and no "\r" off a CRLF, in its
+    # comments too, is read by str.splitlines, str.split and int() as DGN reads it
+    crlf = "\r" not in text or text.count("\r") == text.count("\r\n")
+    if text.isascii() and crlf and not any(ch in text for ch in _ODD):
+        lines, split, to_int = text.splitlines(), str.split, int
+    else:
+        lines = [line.removesuffix("\r") for line in text.split("\n")]
+        split, to_int = _token, _ascii_int
 
-    lines = text.splitlines()
     end = len(lines)
     rest = enumerate(lines, start=1)
     for line_no, line in rest:
         if "#" in line:
             line = line.split("#", 1)[0]
-        tokens = line.split()
+        tokens = split(line)
         if not tokens:
             continue
         kind = tokens[0]
@@ -243,13 +242,8 @@ def parse_dgn(text: str) -> DualGraph:
                     line_no,
                     (("vertex id", tokens[1]), ("vertex weight", tokens[2])),
                 ) from None
-            if vid > top:
-                top = vid
-            else:  # the ids stop ascending: from here on weights holds them all
-                weights, vspans = _fold(weights, vspans), None
-                if vid in weights:
-                    raise ParseError(line_no, f"duplicate vertex id {vid}")
-            weights[vid] = weight
+            if vid in weights or (vspans and _span_at(vspans, vid)):
+                raise ParseError(line_no, f"duplicate vertex id {vid}")
             if marked:
                 if c is not None:
                     raise ParseError(
@@ -261,15 +255,11 @@ def parse_dgn(text: str) -> DualGraph:
                 lines[line_no + _STEP] == f"v {vid + _STEP + 1} -2"
             ):
                 n = _block(lines, line_no, "v", vid + 1)
-                ids = range(vid + 1, vid + 1 + n)
-                if vspans is None:
-                    dup = next(filter(weights.__contains__, ids), None)
-                    ids = ids if dup is None else range(ids.start, dup)
-                    weights.update(zip(ids, repeat(-2)))
-                elif ids:  # every id above top: none declared yet
-                    vspans.append((ids.start, ids.stop))
-                top = max(top, ids.stop - 1)
-                next(islice(rest, len(ids), len(ids)), None)  # skip the block
+                stop = _fresh(weights, vspans, vid + 1, vid + 1 + n)
+                insort(vspans, (vid, stop))
+                next(islice(rest, stop - vid - 1, stop - vid - 1), None)  # skip the block
+            else:
+                weights[vid] = weight
         elif kind == "e":
             if len(tokens) != 3:
                 raise ParseError(line_no, "expected: e <u> <v>")
@@ -293,7 +283,7 @@ def parse_dgn(text: str) -> DualGraph:
             if v == u + 1 and not u % _STEP and line_no + _STEP < end and (
                 lines[line_no + _STEP] == f"e {v + _STEP} {v + _STEP + 1}"
             ):
-                stop = _fresh(edges, espans, v, v + _block(lines, line_no, "e", v))
+                stop = _fresh(edges, espans, v, v + _block(lines, line_no, "e", v), True)
                 insort(espans, (u, stop, line_no))
                 next(islice(rest, stop - v, stop - v), None)  # skip the block
             else:
@@ -310,47 +300,39 @@ def parse_dgn(text: str) -> DualGraph:
                     [("chain first id", tokens[1])]
                     + [("chain weight", tok) for tok in tokens[2:]],
                 ) from None
-            ids = range(first, first + len(ws))
-            if first <= top:  # as for a v line
-                weights, vspans = _fold(weights, vspans), None
-                dup = next(filter(weights.__contains__, ids), None)
-                if dup is not None:
-                    raise ParseError(line_no, f"duplicate vertex id {dup}")
-            top = max(top, ids[-1])
-            weights.update(zip(ids, ws))
-            for u in ids[:-1]:
-                if (u, u + 1) in edges or _span_at(espans, u):
-                    raise ParseError(line_no, f"duplicate edge ({u},{u + 1})")
-                edges[u, u + 1] = line_no
+            stop = first + len(ws)
+            dup = _fresh(weights, vspans, first, stop)
+            if dup < stop:
+                raise ParseError(line_no, f"duplicate vertex id {dup}")
+            dup = _fresh(edges, espans, first, stop - 1, True)
+            if dup < stop - 1:
+                raise ParseError(line_no, f"duplicate edge ({dup},{dup + 1})")
+            weights.update(zip(range(first, stop), ws))
+            edges.update(zip(zip(range(first, stop), range(first + 1, stop)), repeat(line_no)))
         else:
             raise ParseError(line_no, f"unknown directive {kind!r}")
 
     del lines  # free, as the line loop's exhausted iterator frees them
-    held = vspans or ()
     faults = []  # (line, undeclared id): the first loose line and each span's
     for (u, v), line_no in edges.items():
         if u not in weights or v not in weights:
-            missing = _undeclared(weights, held, u, u)
+            missing = _undeclared(weights, vspans, u, u)
             if missing is None:
-                missing = _undeclared(weights, held, v, v)
+                missing = _undeclared(weights, vspans, v, v)
             if missing is not None:
                 faults.append((line_no, missing))
                 break
     for a, b, line_no in espans:
-        missing = _undeclared(weights, held, a, b)
+        missing = _undeclared(weights, vspans, a, b)
         if missing is not None:
             faults.append((line_no + max(missing - 1, a) - a, missing))
     if faults:
         line_no, missing = min(faults)
         raise ParseError(line_no, f"edge references undeclared vertex {missing}")
     # every check DualGraph() makes has been made above, with line numbers
-    if not espans:
-        return DualGraph._make(None, None, _fold(weights, vspans), tuple(sorted(edges)), c)
-    if vspans is not None:
+    if vspans or espans:
         return DualGraph._make(*_compress(weights, vspans, edges, espans), None, None, c)
-    pairs = chain(edges, *(zip(range(a, b), range(a + 1, b + 1)) for a, b, _ in espans))
-    core, links = _compress(weights, (), edges, espans)
-    return DualGraph._make(core, links, weights, tuple(sorted(pairs)), c)
+    return DualGraph._make(None, None, weights, tuple(sorted(edges)), c)
 
 
 def serialize_dgn(g: DualGraph) -> str:

@@ -27,32 +27,30 @@ them, and so compress nothing.
 
 Vertex-level weights and edges (_edges: a sorted tuple of distinct (u, v),
 u < v) are held only by a graph given them: by DualGraph(), a splice below,
-parse_dgn of a text whose ids do not ascend or that has no block of edges it
-read in bulk, or with_mark of one of these.  parse_dgn of a text with such a
-block gives the graph its compact form at once, and when the text's ids
-ascend (as serialize_dgn writes them) only that form, whose weights expand in
-id order, which is the text's line order.  A graph that holds only the
-compact form expands it on each read of a view (weights, edges, vertex_ids,
-repr) and once per blow-up, and stores nothing (_expand); a view builds only
-what it returns.  The expansion reads one walk of the compact form in id
-order (_id_order), which sorts blocks (a core vertex, a vertex of a tuple
-run, a range run), never the vertices of a run; DGN output reads the same
-walk and expands nothing (dgn.serialize_dgn).
+parse_dgn of a text with no block read in bulk, or with_mark of one of these.
+parse_dgn of a text with a block (as serialize_dgn writes a run) gives only
+the compact form, whose weights expand in id order, whatever the text's line
+order.  A graph that holds only the compact form expands it on each read of a
+view (weights, edges, vertex_ids, repr) and once per blow-up, and stores
+nothing (_expand); a view builds only what it returns.  The expansion reads
+one walk of the compact form in id order (_id_order), which sorts blocks (a
+core vertex, a vertex of a tuple run, a range run), never the vertices of a
+run; DGN output reads the same walk and expands nothing (dgn.serialize_dgn).
 
 Which way an edit goes follows what the graph holds.  A graph that holds only
-the compact form (a family build, a parsed canonical text, a cut, blow_down or
-contract_all of such a graph, and their with_mark copies) is blown down and
+the compact form (a family build, a text parsed with a block, a cut, blow_down
+or contract_all of such a graph, and their with_mark copies) is blown down and
 contracted on it: blow_down cuts it around the vertex and re-joins it by
 delete()'s _rejoin, and contract_all reads its neighbours off core_links() and
 eats a run in closed form, so both take time independent of the run lengths
 and return a graph that holds only the compact form, whose weights expand in
-id order as the parent's do.  A graph given vertex-level data keeps the order its weights were given
-in, which the compact form does not record, so its edits splice that data,
-even once a query has compressed it, as the blow-ups do on every graph (a
-blow-up's new vertex comes last in its weights).  A splice copies the parent's
-checked data, deleting or insorting only the touched entries, and never
-compresses; no edit validates its result again (_make), and the parent's data,
-which with_mark copies share, never changes.
+id order as the parent's do.  A graph given vertex-level data keeps the order
+its weights were given in, which the compact form does not record, so its
+edits splice that data, even once a query has compressed it, as the blow-ups
+do on every graph (a blow-up's new vertex comes last in its weights).  A
+splice copies the parent's checked data, deleting or insorting only the
+touched entries, and never compresses; no edit validates its result again
+(_make), and the parent's data, which with_mark copies share, never changes.
 
 One DFS over the core, once per graph, finds the components (_core_dfs),
 each as its core vertices, its runs and its count of core-to-core links;

@@ -14,6 +14,7 @@ reference implementations the fast code must agree with.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -198,10 +199,19 @@ def parse_dgn_lines(text: str):
     c: int | None = None
     edges: dict[tuple[int, int], int] = {}  # edge -> its line, in order
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    def int_(token: str) -> int:
+        """The integer an ASCII -?[0-9]+ spells; ValueError for any other."""
+        if not re.fullmatch("-?[0-9]+", token):
+            raise ValueError(token)
+        return int(token)
+
+    # a line ends at "\n" alone, less one "\r" before it; tokens part at
+    # ASCII spaces and tabs alone
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if "#" in line:
             line = line.split("#", 1)[0]
-        tokens = line.split()
+        tokens = re.findall("[^ \t]+", line)
         if not tokens:
             continue
         kind = tokens[0]
@@ -213,8 +223,8 @@ def parse_dgn_lines(text: str):
             else:
                 raise ParseError(line_no, "expected: v <id> <weight> [C]")
             try:
-                vid = int(tokens[1])
-                weight = int(tokens[2])
+                vid = int_(tokens[1])
+                weight = int_(tokens[2])
             except ValueError:
                 raise _not_int(
                     line_no,
@@ -233,8 +243,8 @@ def parse_dgn_lines(text: str):
             if len(tokens) != 3:
                 raise ParseError(line_no, "expected: e <u> <v>")
             try:
-                u = int(tokens[1])
-                v = int(tokens[2])
+                u = int_(tokens[1])
+                v = int_(tokens[2])
             except ValueError:
                 raise _not_int(
                     line_no, (("edge endpoint", tok) for tok in tokens[1:])
@@ -252,8 +262,8 @@ def parse_dgn_lines(text: str):
             if len(tokens) < 3:
                 raise ParseError(line_no, "expected: chain <first-id> <w1> ...")
             try:
-                first = int(tokens[1])
-                ws = [int(tok) for tok in tokens[2:]]
+                first = int_(tokens[1])
+                ws = [int_(tok) for tok in tokens[2:]]
             except ValueError:
                 raise _not_int(
                     line_no,

@@ -1,5 +1,6 @@
 """CLI: output shapes, exit codes, stdin plumbing, byte determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -355,6 +356,34 @@ def test_family_spec_json_error_is_exit_2(capsys):
 def test_family_unknown_field_is_exit_1(capsys):
     code, _, err = run_cli(capsys, "family", "build", '{"family":1,"n":2,"x":0}')
     assert code == 1
+
+
+def test_queries_of_parsed_family_texts_are_pinned(capsys, tmp_path):
+    """graph ktype/shape/det/contract and family classify on family (3)-(5)
+    texts as family build writes them, and on copies with their v lines in
+    descending id order: one digest of every exit code and stdout."""
+    specs = [
+        dict(family=3, A=(1000,), n=2, l=1000),
+        dict(family=3, A=(2,), n=3, l=7),
+        dict(family=4, A=(3, 2), n=3, l=40, b=(3,)),
+        dict(family=5, A=(7,), n=2, l=500, b=(3,), m=1),
+    ]
+    h = hashlib.sha256()
+    for kw in specs:
+        lines = family_dgn(**kw).splitlines(True)
+        vs = [line for line in lines if line.startswith("v")]
+        for text in ("".join(lines), "".join(vs[::-1] + lines[len(vs):])):
+            path = tmp_path / "g.dgn"
+            path.write_text(text)
+            for argv in (
+                *(["graph", cmd, str(path)] for cmd in ("ktype", "shape", "det", "contract")),
+                ["family", "classify", str(path)],
+            ):
+                code, out, _ = run_cli(capsys, *argv)
+                h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == (
+        "b771bbde1cc2944fe2eab2eea67eb65b8eb9994aaebc0ac633ba4ecebf91e94f"
+    )
 
 
 # -- verify -------------------------------------------------------------------------

@@ -157,15 +157,19 @@ def _outcome(parse, text):
 
 def _check_bulk_read(text):
     """The bulk read gives what the line loop gives, and holds only the
-    compact form exactly when it read an e block and the ids ascend."""
+    compact form exactly when it read a block.  Such a graph keeps no line
+    order, so its weights and core are compared as sorted pairs; a graph
+    holding vertex-level data is compared in line order."""
     with mock.patch.object(dgn, "_block", wraps=dgn._block) as block:
         got, only = _outcome(parse_dgn, text)
     want, _ = _outcome(parse_dgn_lines, text)
+    if only:
+        got, want = (
+            (sorted(w), e, c, sorted(core), links) for w, e, c, core, links in (got, want)
+        )
     assert got == want
     if only is not None:
-        ids = [v for v, _ in want[0]]
-        e_block = any(call.args[2] == "e" for call in block.call_args_list)
-        assert only == (e_block and ids == sorted(ids))
+        assert only == block.called
 
 
 _CHAIN = _vs(0, 100) + _es(0, 99)
@@ -224,6 +228,15 @@ _BULK_CASES = {
     "chain over a block": _es(0, 99) + "chain 0 -2 -2\n",
     "many loose edges": "".join(f"e {i + 1} {i}\n" for i in range(300, 199, -1))
     + _vs(0, 400) + _es(160, 210),
+    # repeated ids around a v block: a block running into an earlier one, a
+    # block read after the ids stopped ascending, a chain line over a block
+    # and a loose line deep inside one; and v blocks with no e block, out of
+    # order
+    "v block into a v block": _vs(100, 200) + _vs(0, 150),
+    "v block after ids out of order": "v 500 -3\nv 7 -3\n" + _vs(0, 7) + _vs(8, 100) + _es(0, 99),
+    "chain over a v block": _vs(0, 100) + "chain 60 -2 -2\n" + _es(0, 99),
+    "loose v deep in a v block": _vs(0, 300) + "v 250 -3\n" + _es(0, 299),
+    "v blocks alone, out of order": _vs(200, 300) + _vs(0, 100) + _vs(100, 200, -3),
 }
 
 
@@ -279,18 +292,31 @@ def test_bulk_read_matches_the_line_loop_on_any_text(text):
 
 
 def test_a_text_with_a_block_holds_its_compact_form_and_one_without_it_does_not():
-    """A text with an e block whose ids ascend gives a graph holding only its
-    compact form; ids out of order keep vertex-level data in line order, with
-    the compact form beside it, and a text without an e block keeps only
-    vertex-level data."""
-    g = parse_dgn(_CHAIN)
-    assert g._weights is None and g._edges is None and g._core is not None
-    assert list(g.weights) == list(range(100))
-    g = parse_dgn(_vs(50, 100) + _vs(0, 50) + _es(0, 99))
-    assert list(g._weights) == [*range(50, 100), *range(50)] and g._core is not None
-    g = parse_dgn(_vs(1, 21) + _es(1, 20))
-    assert len(g) == 20 and 10 in g.weights
+    """A text with a block read in bulk gives a graph holding only its
+    compact form, whose weights expand in id order, whatever the order of
+    its lines; a text without one keeps only vertex-level data, in line
+    order."""
+    for text in (_CHAIN, _vs(50, 100) + _vs(0, 50) + _es(0, 99), _vs(50, 100) + _vs(0, 50)):
+        g = parse_dgn(text)
+        assert g._weights is None and g._edges is None and g._core is not None
+        assert list(g.weights) == list(range(100))
+    g = parse_dgn(_vs(11, 21) + _vs(1, 11) + _es(1, 20))
+    assert len(g) == 20 and list(g.weights) == [*range(11, 21), *range(1, 11)]
     assert g._core is None  # len and weights read the vertex-level data
+
+
+def test_a_block_is_formatted_no_further_than_its_run():
+    """_block formats the run's lines and a few single-line probes past its
+    end, not the rest of a chunk of doubling size (8,191 lines here)."""
+    formatted = []
+
+    def counted(kind, first, stop, real=dgn._run_text):
+        formatted.append(stop - first)
+        return real(kind, first, stop)
+
+    with mock.patch.object(dgn, "_run_text", counted):
+        g = parse_dgn(_vs(0, 5000) + _vs(5001, 25000, -3))
+    assert len(g) == 24999 and 5000 <= sum(formatted) < 5200, sum(formatted)
 
 
 def _long_run_text():
@@ -341,3 +367,28 @@ def test_integers_are_ascii_digits_with_an_optional_minus(line):
     assert exc.value.line == 3
     assert "must be an integer, got" in exc.value.message
     assert parse_dgn("v -0 -07 # +1_0\nv 3 -2\ne -0 3\n") == DualGraph({0: -7, 3: -2}, [(0, 3)])
+
+
+_SEPARATORS = [
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029",
+    "\u00a0", "\u2003", "\r",
+]
+
+
+@pytest.mark.parametrize("sep", _SEPARATORS, ids=[f"U+{ord(ch):04X}" for ch in _SEPARATORS])
+def test_a_line_ends_at_a_newline_and_tokens_part_at_spaces_and_tabs(sep):
+    """Every other break or space, and a "\\r" that does not end a line,
+    stays inside its token, and the line is refused under its own number,
+    in a block too; the line loop splits alike."""
+    cases = [
+        (f"v 1 -2{sep}v 1 -3", 1, "expected: v <id> <weight> [C]"),
+        (f"v 1{sep}-2\n", 1, "expected: v <id> <weight> [C]"),
+        (f"v 0 -3\nv 1 -2{sep} \n", 2, f"vertex weight must be an integer, got {'-2' + sep!r}"),
+        (_CHAIN.replace("e 60 61\n", f"e 60{sep}61\n"), 161, "expected: e <u> <v>"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_dgn(text)
+        assert (exc.value.line, exc.value.message) == (line, message)
+        _check_bulk_read(text)
+    assert parse_dgn(f"v 1 -2\r\nv 2 -2 # {sep}\r\ne 1 2\r\n") == DualGraph({1: -2, 2: -2}, [(1, 2)])
