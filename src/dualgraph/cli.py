@@ -7,6 +7,11 @@ Errors go to stderr as one line; the exit code distinguishes them:
 0 success, 1 domain error, 2 parse error, 3 verification failures, 4 a
 library defect (InternalDefect: an invariant of the library itself broke),
 141 stdout closed by its reader before the output was written.
+
+The twig and graph queries are rows of a table per group (_QUERIES), each
+a help text, one argument and the JSON document of that argument's text,
+and one loop per group registers them.  The family and verify commands,
+which take flags, keep handlers of their own.
 """
 
 from __future__ import annotations
@@ -109,66 +114,47 @@ def _parse_fraction(text: str) -> Fraction:
         raise ParseError(1, f"invalid rational {text!r}: {exc}")
 
 
-# -- twig subcommands ---------------------------------------------------------
+# -- twig and graph queries -----------------------------------------------------
+
+_DGN_ARG = ("graph", "DGN file path, or - for stdin")
+
+# Each group's queries, one row each: help, the one argument with its help,
+# and the JSON document of the argument's text.  A document looks this
+# module's names up when it runs, so a name replaced on the module (as a
+# tracer replaces it) is the one called.
+_QUERIES = {
+    ("twig", "twig arithmetic"): {
+        "det": ("twig determinant", "twig", 'twig text, e.g. "[2,3]" or "[3*2,5]"',
+                lambda text: {"d": twig_determinant(parse_twig(text))}),
+        "adjoint": ("adjoint twig", "twig", None,
+                    lambda text: {"adjoint": format_twig(adjoint(parse_twig(text)))}),
+        "inductance": ("inductance e = d(overline)/d", "twig", None,
+                       lambda text: {"e": inductance(parse_twig(text))}),
+        "from-e": ("twig with the given inductance", "value", 'rational in (0,1), e.g. "2/5"',
+                   lambda text: {"twig": _printed(
+                       format_twig, twig_from_inductance(_parse_fraction(text)))}),
+    },
+    ("graph", "graph queries"): {
+        "negdef": ("negative definiteness", *_DGN_ARG,
+                   lambda path: {"negdef": is_negative_definite(_load_graph(path))}),
+        "det": ("determinant and signed determinant", *_DGN_ARG, lambda path: {
+            "d": graph_d(g := _load_graph(path)), "signed": signed_determinant(g)}),
+        "dnatural": ("adjunction coefficients", *_DGN_ARG, lambda path: {"alpha": sorted(
+            map(list, compute_dnatural(_load_graph(path)).coefficients.items()))}),
+        "ktype": ("canonical type and C-pairing", *_DGN_ARG, lambda path: {
+            "ktype": (rep := k_type_report(_load_graph(path)))[0].value, "pairing": rep[1]}),
+        "contract": ("contract all movable vertices", *_DGN_ARG, lambda path: {
+            "graph": _printed(serialize_dgn, contract_all(_load_graph(path)))}),
+        # the report's fields, tuples printed as lists
+        "shape": ("off-C component shapes", *_DGN_ARG, lambda path: {
+            **vars(rep := shape_report(_load_graph(path))),
+            "components": [vars(comp) for comp in rep.components]}),
+    },
+}
 
 
-def _cmd_twig_det(args) -> int:
-    _emit({"d": twig_determinant(parse_twig(args.twig))})
-    return 0
-
-
-def _cmd_twig_adjoint(args) -> int:
-    _emit({"adjoint": format_twig(adjoint(parse_twig(args.twig)))})
-    return 0
-
-
-def _cmd_twig_inductance(args) -> int:
-    _emit({"e": inductance(parse_twig(args.twig))})
-    return 0
-
-
-def _cmd_twig_from_e(args) -> int:
-    twig = twig_from_inductance(_parse_fraction(args.value))
-    _emit({"twig": _printed(format_twig, twig)})
-    return 0
-
-
-# -- graph subcommands --------------------------------------------------------
-
-
-def _cmd_graph_negdef(args) -> int:
-    _emit({"negdef": is_negative_definite(_load_graph(args.graph))})
-    return 0
-
-
-def _cmd_graph_det(args) -> int:
-    g = _load_graph(args.graph)
-    _emit({"d": graph_d(g), "signed": signed_determinant(g)})
-    return 0
-
-
-def _cmd_graph_dnatural(args) -> int:
-    g = _load_graph(args.graph)
-    alpha = compute_dnatural(g).coefficients
-    _emit({"alpha": [[v, alpha[v]] for v in sorted(alpha)]})
-    return 0
-
-
-def _cmd_graph_ktype(args) -> int:
-    ktype, pairing = k_type_report(_load_graph(args.graph))
-    _emit({"ktype": ktype.value, "pairing": pairing})
-    return 0
-
-
-def _cmd_graph_contract(args) -> int:
-    _emit({"graph": _printed(serialize_dgn, contract_all(_load_graph(args.graph)))})
-    return 0
-
-
-def _cmd_graph_shape(args) -> int:
-    rep = shape_report(_load_graph(args.graph))
-    # the reports' fields, tuples printed as lists
-    _emit({**vars(rep), "components": [vars(comp) for comp in rep.components]})
+def _cmd_query(doc, arg: str, args) -> int:
+    _emit(doc(getattr(args, arg)))
     return 0
 
 
@@ -242,36 +228,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    twig = sub.add_parser("twig", help="twig arithmetic").add_subparsers(
-        dest="subcommand", required=True
-    )
-    cmd = twig.add_parser("det", help="twig determinant")
-    cmd.add_argument("twig", help='twig text, e.g. "[2,3]" or "[3*2,5]"')
-    cmd.set_defaults(func=_cmd_twig_det)
-    cmd = twig.add_parser("adjoint", help="adjoint twig")
-    cmd.add_argument("twig")
-    cmd.set_defaults(func=_cmd_twig_adjoint)
-    cmd = twig.add_parser("inductance", help="inductance e = d(overline)/d")
-    cmd.add_argument("twig")
-    cmd.set_defaults(func=_cmd_twig_inductance)
-    cmd = twig.add_parser("from-e", help="twig with the given inductance")
-    cmd.add_argument("value", help='rational in [0,1), e.g. "2/5"')
-    cmd.set_defaults(func=_cmd_twig_from_e)
-
-    graph = sub.add_parser("graph", help="graph queries").add_subparsers(
-        dest="subcommand", required=True
-    )
-    for name, func, blurb in (
-        ("negdef", _cmd_graph_negdef, "negative definiteness"),
-        ("det", _cmd_graph_det, "determinant and signed determinant"),
-        ("dnatural", _cmd_graph_dnatural, "adjunction coefficients"),
-        ("ktype", _cmd_graph_ktype, "canonical type and C-pairing"),
-        ("contract", _cmd_graph_contract, "contract all movable vertices"),
-        ("shape", _cmd_graph_shape, "off-C component shapes"),
-    ):
-        cmd = graph.add_parser(name, help=blurb)
-        cmd.add_argument("graph", help="DGN file path, or - for stdin")
-        cmd.set_defaults(func=func)
+    for (group, group_help), rows in _QUERIES.items():
+        queries = sub.add_parser(group, help=group_help).add_subparsers(
+            dest="subcommand", required=True
+        )
+        for name, (blurb, arg, arg_help, doc) in rows.items():
+            cmd = queries.add_parser(name, help=blurb)
+            cmd.add_argument(arg, help=arg_help)
+            cmd.set_defaults(func=functools.partial(_cmd_query, doc, arg))
 
     family = sub.add_parser("family", help="boundary families").add_subparsers(
         dest="subcommand", required=True

@@ -195,9 +195,11 @@ def _compress(weights: dict[int, int], vspans, edges: dict, espans) -> tuple:
                 holes.append((x + 1, y))
     links.sort(key=lambda link: link[:2])
     inside = {v for lo, hi in holes for v in keys[bisect_left(keys, lo) : bisect_left(keys, hi)]}
-    nodes = {v: w for v, w in weights.items() if v not in inside}
-    nodes.update(chain.from_iterable(zip(range(*p), repeat(-2)) for p in _outside(vspans, holes)))
-    return _normalize(dict(sorted(nodes.items())), links)
+    # two runs in id order, which one sort merges
+    nodes = [(v, weights[v]) for v in keys if v not in inside]
+    nodes += chain.from_iterable(zip(range(*p), repeat(-2)) for p in _outside(vspans, holes))
+    nodes.sort()
+    return _normalize(dict(nodes), links)
 
 
 def parse_dgn(text: str) -> DualGraph:

@@ -52,15 +52,16 @@ splice copies the parent's checked data, deleting or insorting only the
 touched entries, and never compresses; no edit validates its result again
 (_make), and the parent's data, which with_mark copies share, never changes.
 
-One DFS over the core, once per graph, finds the components (_core_dfs),
-each as its core vertices, its runs and its count of core-to-core links;
-is_forest compares that count with the core size, and the forest pass,
-shape_report and canonical_form all read it.  canonical_form codes each
-core tree by one leaf peel, labelling each core vertex as it is peeled and
-each link by its run length and where C sits on it (_tree_code), so
-isomorphism is decided in time independent of the run lengths.
-minus_c() cuts the C-vertex once and keeps the cut graph, with whatever it
-has computed.
+One DFS over the core, once per graph, finds the components (_core_dfs):
+the core vertices of each one with core, a slice of its order, and the
+core-free (-2)-chains; is_forest compares its count of core-to-core links
+with the core size.  The forest pass, shape_report and canonical_form read
+no other traversal: shape_report takes each component's runs and links off
+core_links() of its slice, and canonical_form codes each core tree by one
+leaf peel, labelling each core vertex as it is peeled and each link by its
+run length and where C sits on it (_tree_code), so isomorphism is decided
+in time independent of the run lengths.  minus_c() cuts the C-vertex once
+and keeps the cut graph, with whatever it has computed.
 
 Every determinant, definiteness and adjunction question reads one pass per
 graph, computed on first use and cached (with_mark carries it over).  On a
@@ -648,6 +649,11 @@ class _CoreDFS:
     links: int
     pure: list[Sequence[int]]
 
+    def trees(self) -> list[list[int]]:
+        """The core vertices of each component with core: slices of order."""
+        ends = self.starts[1:] + [len(self.order)]
+        return [self.order[i:j] for i, j in zip(self.starts, ends)]
+
 
 def _core_dfs(g: DualGraph) -> _CoreDFS:
     """The core DFS of g, computed once per graph (with_mark carries it)."""
@@ -679,32 +685,6 @@ def _core_dfs(g: DualGraph) -> _CoreDFS:
                         stack.append(w)
         g._dfs = _CoreDFS(order, parent, starts, core_to_core, pure)
     return g._dfs
-
-
-@dataclass
-class _Component:
-    """One connected component of a graph, read off its core DFS."""
-
-    core: list[int]  # from the root, parents first; [] for a (-2)-chain
-    runs: list[Sequence[int]]  # the runs of its links, each once
-    links: int  # core-to-core links, self-loops included
-
-
-def _core_components(g: DualGraph) -> list[_Component]:
-    """The components of g: those with core in the order of their roots,
-    then the core-free ones."""
-    dfs = _core_dfs(g)
-    bounds = zip(dfs.starts, dfs.starts[1:] + [len(dfs.order)])
-    comps = [_Component(dfs.order[i:j], [], 0) for i, j in bounds]
-    comp_of = {v: comp for comp in comps for v in comp.core}
-    for a, b, ids in g._compact()[1]:
-        if a is None:
-            continue
-        comp = comp_of[a]
-        comp.runs.append(ids)
-        if b is not None:
-            comp.links += 1
-    return comps + [_Component([], [ids], 0) for ids in dfs.pure]
 
 
 @dataclass
@@ -1290,22 +1270,36 @@ class ShapeReport:
 def shape_report(g: DualGraph) -> ShapeReport:
     """Describe g minus its C-vertex: components, chain/star kinds, contacts.
 
-    Reads the core DFS of g.minus_c().  Run vertices have degree 1 or 2, so
-    branch vertices are core; only the listed vertices are expanded.
+    Reads the core DFS of g.minus_c(): each core-free component is a chain,
+    and each one with core has the core_links() of its core vertices, each
+    link taken once, from its smaller core end (a self-loop from the
+    smaller end of its run).  Run vertices have degree 1 or 2, so branch
+    vertices are core; only the listed vertices are expanded.
     """
     tree = is_tree(g)
     rest = g if g.c is None else g.minus_c()
     c_nbrs = set() if g.c is None else set(g.neighbors(g.c))
+    dfs = _core_dfs(rest)
     inc = rest.core_links()
-    comps = []
-    for comp in _core_components(rest):
-        vertices = tuple(sorted(chain(comp.core, *comp.runs)))
-        branch = tuple(sorted(v for v in comp.core if len(inc[v]) >= 3))
+    shapes = [(tuple(sorted(ids)), "chain", ()) for ids in dfs.pure]
+    for core in dfs.trees():
+        runs, links = [], 0  # links: core-to-core, self-loops included
+        for v in core:
+            for far, ids in inc[v]:
+                if far is None:
+                    runs.append(ids)
+                elif v < far or (v == far and ids[0] < ids[-1]):
+                    runs.append(ids)
+                    links += 1
+        branch = tuple(sorted(v for v in core if len(inc[v]) >= 3))
         # the core-to-core links of a tree join its core vertices in a tree
-        if comp.links >= max(len(comp.core), 1) or len(branch) >= 2:
+        if links >= len(core) or len(branch) >= 2:
             kind = "general"
         else:
             kind = "star" if branch else "chain"
+        shapes.append((tuple(sorted(chain(core, *runs))), kind, branch))
+    comps = []
+    for vertices, kind, branch in shapes:
         contacts = tuple(sorted(c_nbrs.intersection(vertices)))
         comps.append(ComponentShape(vertices, kind, branch, bool(contacts), contacts))
     comps.sort(key=lambda comp: comp.vertices[0])
@@ -1379,21 +1373,19 @@ def canonical_form(g: DualGraph) -> tuple:
     Two forests are isomorphic (respecting weights and the C mark) iff their
     canonical forms are equal.  Raises DomainError on graphs with cycles.
     Any isomorphism maps core to core, so a component with core is its core
-    tree's code (_tree_code).  A core-free (-2)-chain is its length and the
-    distance from C to its nearer end (-1 without C).  The cost is
-    independent of the run lengths.
+    tree's code (_tree_code), read off the core DFS.  A core-free
+    (-2)-chain is its length and the distance from C to its nearer end (-1
+    without C).  The cost is independent of the run lengths.
     """
     if not is_forest(g):
         raise DomainError("canonical form is only defined for forests")
-    trees, chains = [], []
-    for comp in _core_components(g):
-        if comp.core:
-            trees.append(_tree_code(g, comp.core))
-        else:
-            (ids,) = comp.runs
-            k = ids.index(g.c) if g.c is not None and g.c in ids else -1
-            chains.append((len(ids), min(k, len(ids) - 1 - k) if k >= 0 else -1))
-    return tuple(sorted(trees)), tuple(sorted(chains))
+    dfs = _core_dfs(g)
+    chains = []
+    for ids in dfs.pure:
+        k = ids.index(g.c) if g.c is not None and g.c in ids else -1
+        chains.append((len(ids), min(k, len(ids) - 1 - k) if k >= 0 else -1))
+    trees = sorted(_tree_code(g, core) for core in dfs.trees())
+    return tuple(trees), tuple(sorted(chains))
 
 
 def isomorphic(g1: DualGraph, g2: DualGraph) -> bool:

@@ -119,9 +119,7 @@ def adjoint(weights: Iterable[int]) -> Twig:
     if not t:
         raise DomainError("adjoint is undefined for the empty twig")
     if not is_admissible(t):
-        raise DomainError(
-            f"inductance requires an admissible twig, got {list(t[::-1])}"
-        )
+        raise DomainError(f"adjoint requires an admissible twig, got {list(t)}")
     length = sum(t) - 2 * len(t) + 1
     if length > _LENGTH_CAP:
         raise DomainError(f"twig has {length} entries, more than {_LENGTH_CAP}")

@@ -691,8 +691,10 @@ def adjoint_fraction(t):
     t = tuple(map(int, t))
     if not t:
         raise DomainError("adjoint is undefined for the empty twig")
+    if not all(w >= 2 for w in t):
+        raise DomainError(f"adjoint requires an admissible twig, got {list(t)}")
     length = sum(t) - 2 * len(t) + 1
-    if length > cap and all(w >= 2 for w in t):
+    if length > cap:
         raise DomainError(f"twig has {length} entries, more than {cap}")
     return twig_from_inductance_stepwise(1 - inductance_fraction(t[::-1]))
 

@@ -74,6 +74,105 @@ def test_twig_from_e_domain_error_is_exit_1(capsys):
     assert "error:" in err
 
 
+def test_twig_adjoint_names_itself_and_the_twig_given(capsys):
+    code, out, err = run_cli(capsys, "twig", "adjoint", "[2,1]")
+    assert (code, out) == (1, "")
+    assert err == "error: adjoint requires an admissible twig, got [2, 1]\n"
+
+
+# -- the command tables ---------------------------------------------------------
+
+
+_QUERY_ROWS = [
+    (["twig", "det", "[2,3]"], ["twig_determinant"]),
+    (["twig", "adjoint", "[3]"], ["adjoint"]),
+    (["twig", "inductance", "[2,3]"], ["inductance"]),
+    (["twig", "from-e", "3/5"], ["twig_from_inductance"]),
+    (["graph", "negdef", "-"], ["is_negative_definite"]),
+    (["graph", "det", "-"], ["graph_d", "signed_determinant"]),
+    (["graph", "dnatural", "-"], ["compute_dnatural"]),
+    (["graph", "ktype", "-"], ["k_type_report"]),
+    (["graph", "contract", "-"], ["contract_all"]),
+    (["graph", "shape", "-"], ["shape_report"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, names", _QUERY_ROWS, ids=[" ".join(argv[:2]) for argv, _ in _QUERY_ROWS]
+)
+def test_each_query_calls_the_library_through_the_cli_module(capsys, monkeypatch, argv, names):
+    """A query's row calls the names the cli module holds when it runs, so a
+    function replaced there (as perfbench's tracer replaces it) is called."""
+    ran = []
+    for name in names:
+        def counted(*args, real=getattr(cli, name), name=name):
+            ran.append(name)
+            return real(*args)
+        monkeypatch.setattr(cli, name, counted)
+    # dnatural refuses a marked graph, and ktype needs one
+    text = "chain 1 -3 -2\n" if argv[1] == "dnatural" else family_dgn(family=3, A=(3,), n=2, l=1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert ran == names
+    json.loads(out)
+
+
+def _parser_structure(parser):
+    """Each subcommand's help and structure, or each argument's dest, help
+    and default: what the parser declares, whatever the help text's layout."""
+    for action in parser._actions:
+        if action.choices and hasattr(action, "add_parser"):
+            helps = {choice.dest: choice.help for choice in action._choices_actions}
+            return {
+                name: (helps[name], _parser_structure(sub))
+                for name, sub in action.choices.items()
+            }
+    return [(a.dest, a.help, a.default) for a in parser._actions if a.dest != "help"]
+
+
+def test_the_parser_declares_every_command_and_argument():
+    from dualgraph.verify import Budget
+
+    budget, dgn_arg = Budget(), [("graph", "DGN file path, or - for stdin", None)]
+    spec_arg = ("spec", "family spec JSON, or - for stdin", None)
+    assert _parser_structure(cli._build_parser()) == {
+        "twig": ("twig arithmetic", {
+            "det": ("twig determinant",
+                    [("twig", 'twig text, e.g. "[2,3]" or "[3*2,5]"', None)]),
+            "adjoint": ("adjoint twig", [("twig", None, None)]),
+            "inductance": ("inductance e = d(overline)/d", [("twig", None, None)]),
+            "from-e": ("twig with the given inductance",
+                       [("value", 'rational in (0,1), e.g. "2/5"', None)]),
+        }),
+        "graph": ("graph queries", {
+            "negdef": ("negative definiteness", dgn_arg),
+            "det": ("determinant and signed determinant", dgn_arg),
+            "dnatural": ("adjunction coefficients", dgn_arg),
+            "ktype": ("canonical type and C-pairing", dgn_arg),
+            "contract": ("contract all movable vertices", dgn_arg),
+            "shape": ("off-C component shapes", dgn_arg),
+        }),
+        "family": ("boundary families", {
+            "build": ("assemble a family instance", [
+                spec_arg,
+                ("allow_noncontractible",
+                 "permit run lengths past the contractibility bound", False),
+            ]),
+            "classify": ("recognize a graph as a family instance", dgn_arg),
+            "ktype": ("canonical type of a family instance", [spec_arg]),
+        }),
+        "verify": ("run verification suites", [
+            ("suite", None, "all"),
+            ("max_det", None, budget.max_det),
+            ("max_len", None, budget.max_len),
+            ("max_n", None, budget.max_n),
+            ("max_m", None, budget.max_m),
+            ("json_path", None, None),
+        ]),
+    }
+
+
 _DIGITS = "1" * 5000  # past the interpreter's limit of 4,300 digits
 _digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),

@@ -1280,6 +1280,22 @@ def _perturbed(weights, edges, c, edit):
 @example(({0: -2, 1: -2, 2: -2, 3: -2}, [(0, 1), (1, 2), (2, 3)], 1), 0, (True, 1, 1))
 # an isolated (-2)-vertex carrying C, beside a core-free chain
 @example(({3: -2, 4: -2, 5: -2, 9: -2}, [(3, 4), (4, 5)], 9), 0, (True, 3, -1))
+# a core vertex with a self-loop run and a chord to a second core vertex:
+# each link is read once, from one end
+@example(
+    ({0: -3, 1: -2, 2: -2, 3: -2, 4: -3, 5: -2},
+     [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)], None),
+    0,
+    (True, 0, 1),
+)
+# a core-free (-2)-cycle, whose smallest id is core, beside a core chain of
+# two core vertices and one link
+@example(
+    ({0: -3, 1: -2, 2: -4, 10: -2, 11: -2, 12: -2, 13: -2},
+     [(0, 1), (1, 2), (10, 11), (11, 12), (12, 13), (13, 10)], None),
+    0,
+    (True, 0, 1),
+)
 def test_shape_report_and_canonical_form_match_the_vertex_dfs(parts, seed, edit):
     weights, edges, c = parts
     flat = DualGraph(weights, edges, c)
