@@ -8,10 +8,11 @@ Errors go to stderr as one line; the exit code distinguishes them:
 library defect (InternalDefect: an invariant of the library itself broke),
 141 stdout closed by its reader before the output was written.
 
-The twig and graph queries are rows of a table per group (_QUERIES), each
-a help text, one argument and the JSON document of that argument's text,
-and one loop per group registers them.  The family and verify commands,
-which take flags, keep handlers of their own.
+Every query, of the twig, graph and family groups alike, is a row of a
+table per group (_QUERIES): a help text, one argument, the JSON document of
+the parsed arguments, and the row's flags.  One loop per group registers the
+rows and one handler prints the document.  Only verify, which writes a
+report file and exits 3 when a check fails, keeps a handler of its own.
 """
 
 from __future__ import annotations
@@ -28,17 +29,9 @@ from pathlib import Path
 from .canonical import compute_dnatural, k_type_report
 from .dgn import parse_dgn, serialize_dgn
 from .errors import DomainError, InternalDefect, ParseError
-from .families import (
-    FamilyInstance,
-    build_family,
-    classify_family_all,
-)
+from .families import FamilyInstance, build_family, classify_family_all
 from .graphs import (
-    contract_all,
-    graph_d,
-    is_negative_definite,
-    shape_report,
-    signed_determinant,
+    contract_all, graph_d, is_negative_definite, shape_report, signed_determinant,
 )
 from .twigs import (
     adjoint,
@@ -114,78 +107,66 @@ def _parse_fraction(text: str) -> Fraction:
         raise ParseError(1, f"invalid rational {text!r}: {exc}")
 
 
-# -- twig and graph queries -----------------------------------------------------
+# -- queries ---------------------------------------------------------------------
 
 _DGN_ARG = ("graph", "DGN file path, or - for stdin")
+_SPEC_ARG = ("spec", "family spec JSON, or - for stdin")
+
+
+def _classified(matches, reason) -> dict:
+    """family classify's document: the first match and every match, or why
+    the graph is in no family."""
+    if not matches:
+        return {"not_in_list": reason}
+    return {"spec": matches[0].to_json_dict(), "matches": [m.to_json_dict() for m in matches]}
+
 
 # Each group's queries, one row each: help, the one argument with its help,
-# and the JSON document of the argument's text.  A document looks this
-# module's names up when it runs, so a name replaced on the module (as a
-# tracer replaces it) is the one called.
+# the JSON document of the parsed arguments, and any (flag, help) pairs, each
+# flag a store_true.  A document looks this module's names up when it runs,
+# so a name replaced on the module (as a tracer replaces it) is the one called.
 _QUERIES = {
     ("twig", "twig arithmetic"): {
         "det": ("twig determinant", "twig", 'twig text, e.g. "[2,3]" or "[3*2,5]"',
-                lambda text: {"d": twig_determinant(parse_twig(text))}),
+                lambda a: {"d": twig_determinant(parse_twig(a.twig))}),
         "adjoint": ("adjoint twig", "twig", None,
-                    lambda text: {"adjoint": format_twig(adjoint(parse_twig(text)))}),
+                    lambda a: {"adjoint": format_twig(adjoint(parse_twig(a.twig)))}),
         "inductance": ("inductance e = d(overline)/d", "twig", None,
-                       lambda text: {"e": inductance(parse_twig(text))}),
+                       lambda a: {"e": inductance(parse_twig(a.twig))}),
         "from-e": ("twig with the given inductance", "value", 'rational in (0,1), e.g. "2/5"',
-                   lambda text: {"twig": _printed(
-                       format_twig, twig_from_inductance(_parse_fraction(text)))}),
+                   lambda a: {"twig": _printed(
+                       format_twig, twig_from_inductance(_parse_fraction(a.value)))}),
     },
     ("graph", "graph queries"): {
         "negdef": ("negative definiteness", *_DGN_ARG,
-                   lambda path: {"negdef": is_negative_definite(_load_graph(path))}),
-        "det": ("determinant and signed determinant", *_DGN_ARG, lambda path: {
-            "d": graph_d(g := _load_graph(path)), "signed": signed_determinant(g)}),
-        "dnatural": ("adjunction coefficients", *_DGN_ARG, lambda path: {"alpha": sorted(
-            map(list, compute_dnatural(_load_graph(path)).coefficients.items()))}),
-        "ktype": ("canonical type and C-pairing", *_DGN_ARG, lambda path: {
-            "ktype": (rep := k_type_report(_load_graph(path)))[0].value, "pairing": rep[1]}),
-        "contract": ("contract all movable vertices", *_DGN_ARG, lambda path: {
-            "graph": _printed(serialize_dgn, contract_all(_load_graph(path)))}),
+                   lambda a: {"negdef": is_negative_definite(_load_graph(a.graph))}),
+        "det": ("determinant and signed determinant", *_DGN_ARG, lambda a: {
+            "d": graph_d(g := _load_graph(a.graph)), "signed": signed_determinant(g)}),
+        "dnatural": ("adjunction coefficients", *_DGN_ARG, lambda a: {"alpha": sorted(
+            map(list, compute_dnatural(_load_graph(a.graph)).coefficients.items()))}),
+        "ktype": ("canonical type and C-pairing", *_DGN_ARG, lambda a: {
+            "ktype": (rep := k_type_report(_load_graph(a.graph)))[0].value, "pairing": rep[1]}),
+        "contract": ("contract all movable vertices", *_DGN_ARG, lambda a: {
+            "graph": _printed(serialize_dgn, contract_all(_load_graph(a.graph)))}),
         # the report's fields, tuples printed as lists
-        "shape": ("off-C component shapes", *_DGN_ARG, lambda path: {
-            **vars(rep := shape_report(_load_graph(path))),
+        "shape": ("off-C component shapes", *_DGN_ARG, lambda a: {
+            **vars(rep := shape_report(_load_graph(a.graph))),
             "components": [vars(comp) for comp in rep.components]}),
+    },
+    ("family", "boundary families"): {
+        "build": ("assemble a family instance", *_SPEC_ARG, lambda a: {"graph": _printed(
+            serialize_dgn, build_family(_load_spec(a.spec), strict=not a.allow_noncontractible))},
+            ("--allow-noncontractible", "permit run lengths past the contractibility bound")),
+        "classify": ("recognize a graph as a family instance", *_DGN_ARG,
+                     lambda a: _classified(*classify_family_all(_load_graph(a.graph)))),
+        "ktype": ("canonical type of a family instance", *_SPEC_ARG, lambda a: {
+            "ktype": k_type_report(build_family(_load_spec(a.spec)))[0].value}),
     },
 }
 
 
-def _cmd_query(doc, arg: str, args) -> int:
-    _emit(doc(getattr(args, arg)))
-    return 0
-
-
-# -- family subcommands -------------------------------------------------------
-
-
-def _cmd_family_build(args) -> int:
-    spec = _load_spec(args.spec)
-    g = build_family(spec, strict=not args.allow_noncontractible)
-    _emit({"graph": _printed(serialize_dgn, g)})
-    return 0
-
-
-def _cmd_family_classify(args) -> int:
-    matches, reason = classify_family_all(_load_graph(args.graph))
-    if matches:
-        _emit(
-            {
-                "spec": matches[0].to_json_dict(),
-                "matches": [m.to_json_dict() for m in matches],
-            }
-        )
-    else:
-        _emit({"not_in_list": reason})
-    return 0
-
-
-def _cmd_family_ktype(args) -> int:
-    g = build_family(_load_spec(args.spec))
-    ktype, _ = k_type_report(g)
-    _emit({"ktype": ktype.value})
+def _cmd_query(doc, args) -> int:
+    _emit(doc(args))
     return 0
 
 
@@ -232,28 +213,12 @@ def _build_parser() -> argparse.ArgumentParser:
         queries = sub.add_parser(group, help=group_help).add_subparsers(
             dest="subcommand", required=True
         )
-        for name, (blurb, arg, arg_help, doc) in rows.items():
+        for name, (blurb, arg, arg_help, doc, *flags) in rows.items():
             cmd = queries.add_parser(name, help=blurb)
             cmd.add_argument(arg, help=arg_help)
-            cmd.set_defaults(func=functools.partial(_cmd_query, doc, arg))
-
-    family = sub.add_parser("family", help="boundary families").add_subparsers(
-        dest="subcommand", required=True
-    )
-    cmd = family.add_parser("build", help="assemble a family instance")
-    cmd.add_argument("spec", help="family spec JSON, or - for stdin")
-    cmd.add_argument(
-        "--allow-noncontractible",
-        action="store_true",
-        help="permit run lengths past the contractibility bound",
-    )
-    cmd.set_defaults(func=_cmd_family_build)
-    cmd = family.add_parser("classify", help="recognize a graph as a family instance")
-    cmd.add_argument("graph", help="DGN file path, or - for stdin")
-    cmd.set_defaults(func=_cmd_family_classify)
-    cmd = family.add_parser("ktype", help="canonical type of a family instance")
-    cmd.add_argument("spec", help="family spec JSON, or - for stdin")
-    cmd.set_defaults(func=_cmd_family_ktype)
+            for flag, flag_help in flags:
+                cmd.add_argument(flag, action="store_true", help=flag_help)
+            cmd.set_defaults(func=functools.partial(_cmd_query, doc))
 
     verify = sub.add_parser("verify", help="run verification suites")
     verify.add_argument(

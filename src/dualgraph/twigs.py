@@ -2,7 +2,8 @@
 
 A twig is recorded as a tuple of positive integers [a_1,...,a_r], where the
 weight a means a curve of self-intersection -a.  The empty tuple is the empty
-twig.  A twig is admissible when every weight is at least 2.
+twig.  A twig is admissible when every weight is at least 2.  twig_parts,
+inductance and adjoint refuse an entry whose type is not int (bool included).
 
 The determinant d(A) is the determinant of the r x r tridiagonal matrix with
 diagonal (a_1,...,a_r) and off-diagonal entries -1; d of the empty twig is 1.
@@ -37,8 +38,18 @@ class TwigParts(NamedTuple):
     transposal: Twig
 
 
-def _as_twig(weights: Iterable[int]) -> Twig:
-    return tuple(map(int, weights))
+def _as_twig(weights: Iterable[int], op: str | None = None) -> Twig:
+    """The twig as a tuple, every entry of type int (bool and float refused).
+    With op, the twig must also be nonempty and admissible, as op needs."""
+    t = tuple(weights)
+    if not set(map(type, t)) <= {int}:
+        bad = next(a for a in t if type(a) is not int)
+        raise DomainError(f"twig entries must be integers, got {bad!r}")
+    if op and not t:
+        raise DomainError(f"{op} is undefined for the empty twig")
+    if op and not is_admissible(t):
+        raise DomainError(f"{op} requires an admissible twig, got {list(t)}")
+    return t
 
 
 def is_admissible(weights: Iterable[int]) -> bool:
@@ -46,7 +57,8 @@ def is_admissible(weights: Iterable[int]) -> bool:
 
 
 def twig_determinant(weights: Iterable[int]) -> int:
-    """d(A) by the linear recurrence d_k = a_k d_{k-1} - d_{k-2}, d_0 = 1."""
+    """d(A) by the linear recurrence d_k = a_k d_{k-1} - d_{k-2}, d_0 = 1.
+    Its entries go unchecked: it is the fujita suite's inner loop."""
     prev, cur = 0, 1
     for a in weights:
         prev, cur = cur, a * cur - prev
@@ -61,11 +73,7 @@ def twig_parts(weights: Iterable[int]) -> TwigParts:
 
 def inductance(weights: Iterable[int]) -> Fraction:
     """e(A) = d(A-bar)/d(A), strictly between 0 and 1 for admissible A."""
-    t = _as_twig(weights)
-    if not t:
-        raise DomainError("inductance is undefined for the empty twig")
-    if not is_admissible(t):
-        raise DomainError(f"inductance requires an admissible twig, got {list(t)}")
+    t = _as_twig(weights, "inductance")
     return Fraction(twig_determinant(t[1:]), twig_determinant(t))
 
 
@@ -115,11 +123,7 @@ def twig_from_inductance(q: Fraction | int) -> Twig:
 def adjoint(weights: Iterable[int]) -> Twig:
     """The adjoint twig A*, defined by e(A*) = 1 - e(reverse(A)).  It has
     sum(a - 2) + 1 entries, so the cap is checked before anything is solved."""
-    t = _as_twig(weights)
-    if not t:
-        raise DomainError("adjoint is undefined for the empty twig")
-    if not is_admissible(t):
-        raise DomainError(f"adjoint requires an admissible twig, got {list(t)}")
+    t = _as_twig(weights, "adjoint")
     length = sum(t) - 2 * len(t) + 1
     if length > _LENGTH_CAP:
         raise DomainError(f"twig has {length} entries, more than {_LENGTH_CAP}")
@@ -132,7 +136,8 @@ _ITEM_RE = re.compile(r"(?:([0-9]+)\*)?([0-9]+)")
 
 
 def parse_twig(text: str) -> Twig:
-    """Parse `[a1,a2,...]` with optional `k*a` repetition, `[]` for empty.
+    """Parse `[a1,a2,...]` with optional `k*a` repetition (k >= 1), `[]` for
+    empty.
 
     More than 10**7 entries after expansion is a ParseError, raised before
     any is built.  An admissible twig of determinant d has at most d - 1
@@ -157,6 +162,8 @@ def parse_twig(text: str) -> Twig:
             raise ParseError(1, f"bad twig entry: more than {limit} digits")
         if value < 1:
             raise ParseError(1, f"twig weights must be positive, got {value}")
+        if count < 1:
+            raise ParseError(1, f"twig repeat counts must be positive, got {count}")
         items.append((value, count))
     length = sum(count for _, count in items)
     if length > _LENGTH_CAP:

@@ -14,7 +14,7 @@ import dualgraph.cli as cli
 from dualgraph import canonical, dgn, graphs
 from dualgraph.dgn import parse_dgn, serialize_dgn
 from dualgraph.errors import InternalDefect
-from dualgraph.families import FamilyInstance, build_family
+from dualgraph.families import FamilyInstance, build_family, l_bound
 from dualgraph.graphs import DualGraph
 
 
@@ -80,6 +80,13 @@ def test_twig_adjoint_names_itself_and_the_twig_given(capsys):
     assert err == "error: adjoint requires an admissible twig, got [2, 1]\n"
 
 
+@pytest.mark.parametrize("op, text", [("det", "[0*5]"), ("adjoint", "[0*5,3]")])
+def test_a_zero_repeat_count_is_a_parse_error(capsys, op, text):
+    code, out, err = run_cli(capsys, "twig", op, text)
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: twig repeat counts must be positive, got 0\n"
+
+
 # -- the command tables ---------------------------------------------------------
 
 
@@ -94,6 +101,9 @@ _QUERY_ROWS = [
     (["graph", "ktype", "-"], ["k_type_report"]),
     (["graph", "contract", "-"], ["contract_all"]),
     (["graph", "shape", "-"], ["shape_report"]),
+    (["family", "build", "-"], ["build_family", "serialize_dgn"]),
+    (["family", "classify", "-"], ["classify_family_all"]),
+    (["family", "ktype", "-"], ["build_family", "k_type_report"]),
 ]
 
 
@@ -105,12 +115,17 @@ def test_each_query_calls_the_library_through_the_cli_module(capsys, monkeypatch
     function replaced there (as perfbench's tracer replaces it) is called."""
     ran = []
     for name in names:
-        def counted(*args, real=getattr(cli, name), name=name):
+        def counted(*args, real=getattr(cli, name), name=name, **kwargs):
             ran.append(name)
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(cli, name, counted)
-    # dnatural refuses a marked graph, and ktype needs one
-    text = "chain 1 -3 -2\n" if argv[1] == "dnatural" else family_dgn(family=3, A=(3,), n=2, l=1)
+    spec = dict(family=3, A=(3,), n=2, l=1)
+    if argv[:2] in (["family", "build"], ["family", "ktype"]):
+        text = json.dumps(spec)
+    elif argv[1] == "dnatural":  # it refuses a marked graph
+        text = "chain 1 -3 -2\n"
+    else:  # graph ktype needs a marked one
+        text = family_dgn(**spec)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
@@ -444,6 +459,51 @@ def test_family_classify_not_in_list(capsys, monkeypatch):
 def test_family_ktype_pinned_example(capsys):
     got = doc_of(capsys, "family", "ktype", '{"family":3,"A":[2],"n":3,"l":7}')
     assert got == {"ktype": "trivial"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "ktype", '{"family":1,"n":2}', "--allow-noncontractible"],
+    ["family", "classify", "-", "--allow-noncontractible"],
+], ids=["ktype", "classify"])
+def test_only_family_build_takes_allow_noncontractible(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-noncontractible" in capsys.readouterr().err
+
+
+_FAMILY_SPECS = [
+    {"family": 1, "n": 3},
+    {"family": 2, "A": [3, 2], "n": 2},
+    {"family": 3, "A": [2], "n": 3, "l": 7},
+    {"family": 4, "A": [3, 2], "n": 3, "l": 4, "b": [3]},
+    {"family": 5, "A": [7], "n": 2, "l": 5, "b": [3], "m": 1},
+    {"family": 6, "A": [2], "n": 2, "b": [4, 2]},
+    {"family": 7, "A": [2, 3], "n": 2, "b": [3], "m": 2},
+]
+
+
+def test_family_build_and_ktype_are_pinned(capsys):
+    """family build, strict and with --allow-noncontractible, and family
+    ktype on one spec per family, and on the (3)-(5) specs one past l_bound,
+    where the strict calls exit 1: one digest of every exit code and stdout.
+    Family (1)'s C weighs 0, so it has no K-type."""
+    past = [dict(s, l=l_bound(tuple(s["A"]), s["n"]) + 1) for s in _FAMILY_SPECS if "l" in s]
+    h, codes = hashlib.sha256(), []
+    for spec in _FAMILY_SPECS + past:
+        text = json.dumps(spec)
+        for argv in (
+            ["family", "build", text],
+            ["family", "build", text, "--allow-noncontractible"],
+            ["family", "ktype", text],
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            codes.append(code)
+            h.update(f"{code}\n{out}".encode())
+    assert codes == [0, 0, 1] + [0] * 18 + [1, 0, 1] * 3
+    assert h.hexdigest() == (
+        "47070d7678441532559aa0ff6253d8b37ea0b1d4e5511770e85f3fdbc15cbae6"
+    )
 
 
 def test_family_spec_json_error_is_exit_2(capsys):

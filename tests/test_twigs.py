@@ -103,6 +103,20 @@ def test_inductance_rejects_bad_input():
         inductance((1, 2))
 
 
+def test_twig_entries_must_be_ints():
+    """A float, a string's characters and a bool are no twig entries, though
+    int() converts them: each is a DomainError that names the entry."""
+    for call, bad in (
+        (lambda: adjoint([3.7]), "3.7"),
+        (lambda: inductance([2.9, 3]), "2.9"),
+        (lambda: adjoint("23"), "'2'"),
+        (lambda: adjoint([True, 3]), "True"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == f"twig entries must be integers, got {bad}"
+
+
 def test_from_inductance_frozen_table():
     assert twig_from_inductance(Fraction(1, 2)) == (2,)
     assert twig_from_inductance(Fraction(3, 5)) == (2, 3)
